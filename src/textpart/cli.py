@@ -8,15 +8,12 @@ Subcommands:
                      [--weighting tfidf|none] [--output REPORT]
     textpart eval REPORT LABELS
 
-``TEXTPART_THREADS`` caps the worker count for restart-parallel phases
-(0 = one worker per CPU). All numeric output uses the ``.`` decimal
-separator regardless of locale.
+All numeric output uses the ``.`` decimal separator regardless of locale.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -48,17 +45,6 @@ from .sib import sib_run
 ALGOS = ("pddp", "pddp+sgem", "sib", "pddp+sib")
 
 
-def _workers() -> int:
-    raw = os.environ.get("TEXTPART_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"TEXTPART_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ValueError("TEXTPART_THREADS must be >= 0")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 def _subset_docs(m: TermDocMatrix, keep_ids: set[str]) -> TermDocMatrix:
     mask = np.array([d in keep_ids for d in m.doc_ids])
     kept = tuple(d for d in m.doc_ids if d in keep_ids)
@@ -76,7 +62,6 @@ def run_clustering(
     eps: float = 0.0,
     seed: int = 0,
     weighting: str = "tfidf",
-    workers: int = 1,
 ) -> report_mod.RunReport:
     """Run one clustering configuration and assemble its report.
 
@@ -121,16 +106,14 @@ def run_clustering(
         else:
             tree = pddp_run(matrix, stop=stop, seed=seed)
             k_run = tree.n_leaves
-        ib = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps,
-                     seed=seed, workers=workers)
+        ib = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps, seed=seed)
         part = Partition(ib.assignment, k_run)
         params.extend([("k", str(k_run)), ("restarts", str(restarts)),
                        ("maxl", str(maxl)), ("eps", repr(eps))])
     elif algo == "pddp+sib":
         tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
         init = tree.partition()
-        ib = sib_run(joint, init.k, max_loops=maxl, eps=eps, seed=seed,
-                     init=init.labels, workers=workers)
+        ib = sib_run(joint, init.k, max_loops=maxl, eps=eps, seed=seed, init=init.labels)
         part = Partition(ib.assignment, init.k)
         if stop == "fixed":
             params.append(("k", str(k)))
@@ -184,7 +167,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         eps=args.eps,
         seed=args.seed,
         weighting=args.weighting,
-        workers=_workers(),
     )
     out = args.output if args.output else args.prefix + ".report"
     report_mod.write_report(rep, out)

@@ -288,6 +288,9 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     for p, line in enumerate(text[1:]):
         i_s, j_s, v_s = line.split()
         rows[p], cols[p], vals[p] = int(i_s), int(j_s), float(v_s)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"{prefix}.mat: non-finite value on line {bad[0] + 2}")
     if nnz:
         if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
             raise ValueError(f"{prefix}.mat: entry index out of range")

@@ -56,37 +56,45 @@ def sq_distances(rows, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def scatter_value(rows, center: np.ndarray, mode: str = "mean") -> float:
-    """Dispersion of a row set around ``center``.
-
-    ``mode="mean"`` is the average Euclidean distance of the rows to the
-    center; ``mode="sumsq"`` is the total squared distance used by part of
-    the divisive-partitioning literature.
-    """
+def scatter_value(rows, center: np.ndarray) -> float:
+    """Average Euclidean distance of a nonempty row set to ``center``."""
     if rows.shape[0] == 0:
         raise ValueError("scatter of an empty cluster")
-    d2 = sq_distances(rows, center)[:, 0]
-    if mode == "mean":
-        return float(np.sqrt(d2).mean())
-    if mode == "sumsq":
-        return float(d2.sum())
-    raise ValueError(f"unknown scatter mode {mode!r}")
+    return float(np.sqrt(sq_distances(rows, center)[:, 0]).mean())
+
+
+def cluster_sums(matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster row sums (k, d) and occupancy counts (k,).
+
+    One sparse indicator matmul: row j of the (k, n) indicator selects the
+    rows labelled j, so dense and CSR inputs are summed without slicing.
+    Empty clusters get zero sums.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
+    indicator = sp.csr_array((np.ones(n), (labels, np.arange(n))), shape=(k, n))
+    sums = indicator @ matrix
+    sums = sums.toarray() if sp.issparse(sums) else np.asarray(sums, dtype=float)
+    return sums, np.bincount(labels, minlength=k)
 
 
 @dataclass
 class ClusterStats:
-    """Summary of one cluster: member row indices, centroid, scatter."""
+    """Summary of one cluster: member row indices, centroid, scatter, and
+    ``sse``, the sum of squared distances of the members to the centroid."""
 
     members: np.ndarray
     centroid: np.ndarray
     scatter: float
+    sse: float
 
     @classmethod
-    def from_rows(cls, matrix, members, mode: str = "mean") -> "ClusterStats":
+    def from_rows(cls, matrix, members) -> "ClusterStats":
         members = np.asarray(members, dtype=np.intp)
         rows = matrix[members]
         c = centroid(rows)
-        return cls(members, c, scatter_value(rows, c, mode))
+        d2 = sq_distances(rows, c)[:, 0]
+        return cls(members, c, float(np.sqrt(d2).mean()), float(d2.sum()))
 
     @property
     def size(self) -> int:

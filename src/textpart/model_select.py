@@ -4,7 +4,11 @@ The BIC of a partition is the complete-data log-likelihood of the spherical
 Gaussian mixture fitted to it, minus the Schwarz penalty
 (param_count / 2) * log n with natural logs; larger is better. The free
 parameters are k - 1 component probabilities, k * d centroid coordinates
-and one shared variance.
+and one shared variance. Because the variance is shared, the score depends
+only on the cluster sizes and per-cluster residuals (squared distances to
+the centroid), so a split test works from leaf sizes and residuals alone:
+splitting a leaf swaps its residual for its children's, and the matrix is
+never touched.
 
 The centroid scatter value (CSV) treats the current leaf centroids as data
 vectors and takes their scatter; a divisive run stops once the CSV exceeds
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sgem
-from .linalg import centroid, scatter_value
+from .linalg import ClusterStats, centroid, cluster_sums, row_sq_norms, scatter_value
 from .partition import Partition
 
 
@@ -42,54 +46,62 @@ class BICScore:
         return self.loglik - (self.param_count / 2.0) * math.log(self.n)
 
 
-def bic_score(partition: Partition, matrix) -> BICScore:
-    """Fit the spherical model to a partition (one M-step) and score it.
+def bic_from_residuals(sizes, sse, d: int) -> BICScore:
+    """BIC of a partition of d-dimensional rows from its cluster sizes and
+    per-cluster residuals (sums of squared distances to the centroid).
 
-    A fit whose shared variance collapses to the numerical floor (every
-    cluster holds identical rows, e.g. all-singleton partitions) is a
-    singular maximum-likelihood solution whose density blows up; it is
-    scored -inf so model selection can never prefer it.
+    The fitted model puts P(c_j) = n_j / n and the shared variance at
+    s2 = sum(sse) / (n d), so the complete-data log-likelihood is
+
+        sum_j n_j log(n_j / n) - (n d / 2) log(2 pi s2) - sum(sse) / (2 s2).
+
+    A fit whose variance collapses to ``SIGMA2_FLOOR`` (every cluster holds
+    identical rows, e.g. all-singleton partitions) is a singular
+    maximum-likelihood solution whose density blows up; it is scored -inf
+    so model selection can never prefer it.
     """
+    sizes = np.asarray(sizes, dtype=float)
+    n = int(sizes.sum())
+    k = sizes.size
+    residual = float(np.sum(sse))
+    sigma2 = max(residual / (n * d), sgem.SIGMA2_FLOOR)
+    if sigma2 <= sgem.SIGMA2_FLOOR:
+        return BICScore(-np.inf, param_count(k, d), n)
+    prior_term = float((sizes * np.log(sizes / n)).sum())
+    loglik = prior_term - n * (d / 2.0) * math.log(2.0 * math.pi * sigma2) - residual / (2.0 * sigma2)
+    return BICScore(loglik, param_count(k, d), n)
+
+
+def bic_score(partition: Partition, matrix) -> BICScore:
+    """Fit the spherical model to a partition of the matrix rows and score it
+    with ``bic_from_residuals``; the residuals come from ``cluster_sums``."""
     if np.any(partition.sizes() == 0):
         raise ValueError("bic_score requires nonempty clusters")
-    n, d = matrix.shape
-    model = sgem.m_step(partition, matrix)
-    if model.sigma2 <= sgem.SIGMA2_FLOOR:
-        return BICScore(-np.inf, param_count(partition.k, d), n)
-    loglik = sgem.complete_log_likelihood(model, partition, matrix)
-    return BICScore(loglik, param_count(partition.k, d), n)
+    labels = partition.labels
+    sums, counts = cluster_sums(matrix, labels, partition.k)
+    # sum_{i in j} ||d_i - m_j||^2 = sum_{i in j} ||d_i||^2 - ||s_j||^2 / n_j
+    within = np.bincount(labels, weights=row_sq_norms(matrix), minlength=partition.k)
+    sse = np.maximum(within - np.einsum("ij,ij->i", sums, sums) / counts, 0.0)
+    return bic_from_residuals(counts, sse, matrix.shape[1])
 
 
-def bic_split_test(
-    parent_members: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    before: Partition,
-    after: Partition,
-    matrix,
-) -> bool:
+def bic_split_test(sizes, sse, parent: ClusterStats, left: ClusterStats,
+                   right: ClusterStats) -> bool:
     """Accept a candidate split only if local AND global BIC strictly improve.
 
-    Local: the parent's rows scored as one cluster versus as the two
-    children. Global: the full leaf partition before versus after the
-    split. Equal scores reject.
+    ``sizes`` and ``sse`` hold the size and residual of every leaf other
+    than ``parent``. Local: the parent's rows scored as one cluster versus
+    as the two children. Global: the leaf partition with the parent versus
+    with the two children in its place. Equal scores reject.
     """
-    parent_members = np.asarray(parent_members, dtype=np.intp)
-    sub = matrix[parent_members]
-    local_before = bic_score(Partition(np.zeros(parent_members.size, dtype=np.int64), 1), sub)
-
-    pos = {int(doc): p for p, doc in enumerate(parent_members)}
-    local_labels = np.empty(parent_members.size, dtype=np.int64)
-    for doc in np.asarray(left).ravel():
-        local_labels[pos[int(doc)]] = 0
-    for doc in np.asarray(right).ravel():
-        local_labels[pos[int(doc)]] = 1
-    local_after = bic_score(Partition(local_labels, 2), sub)
-
+    d = parent.centroid.size
+    child_sizes, child_sse = [left.size, right.size], [left.sse, right.sse]
+    local_before = bic_from_residuals([parent.size], [parent.sse], d)
+    local_after = bic_from_residuals(child_sizes, child_sse, d)
     if not local_after.value > local_before.value:
         return False
-    global_before = bic_score(before, matrix)
-    global_after = bic_score(after, matrix)
+    global_before = bic_from_residuals(np.append(sizes, parent.size), np.append(sse, parent.sse), d)
+    global_after = bic_from_residuals(np.append(sizes, child_sizes), np.append(sse, child_sse), d)
     return global_after.value > global_before.value
 
 
@@ -97,7 +109,7 @@ def csv(tree) -> float:
     """Scatter of the leaf centroids treated as data vectors."""
     leaves = tree.leaves()
     centers = np.stack([leaf.stats.centroid for leaf in leaves])
-    return scatter_value(centers, centroid(centers), tree.scatter_mode)
+    return scatter_value(centers, centroid(centers))
 
 
 def csv_stop(tree) -> bool:

@@ -56,7 +56,6 @@ class ClusterTree:
     """Binary split tree; the leaves partition the document index set."""
 
     nodes: list[TreeNode] = field(default_factory=list)
-    scatter_mode: str = "mean"
     warning: bool = False  # leaves ran out before the stopping rule fired
 
     def leaves(self) -> list[TreeNode]:
@@ -111,24 +110,7 @@ def select_leaf(tree: ClusterTree) -> int:
     return best.node_id
 
 
-def _partition_with_split(tree: ClusterTree, node_id: int, left: np.ndarray, right: np.ndarray) -> Partition:
-    """Leaf partition as it would look after splitting ``node_id``."""
-    labels = tree.partition().labels.copy()
-    j = 0
-    next_label = 0
-    for leaf in tree.leaves():
-        if leaf.node_id == node_id:
-            j = next_label
-        next_label += 1
-    # children are created after every existing node, so they take the last two slots
-    labels[labels > j] -= 1
-    labels[left] = next_label - 1
-    labels[right] = next_label
-    return Partition(labels, next_label + 1)
-
-
-def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0,
-             scatter_mode: str = "mean") -> ClusterTree:
+def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -> ClusterTree:
     """Recursively bisect the document set until the stopping rule fires.
 
     ``stop`` selects the rule: ``"fixed"`` stops at ``k`` leaves; ``"csv"``
@@ -150,8 +132,8 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0,
             raise ValueError("fixed stopping needs k >= 1")
     rng = np.random.default_rng(seed)
 
-    tree = ClusterTree(scatter_mode=scatter_mode)
-    root_stats = ClusterStats.from_rows(matrix, np.arange(n, dtype=np.intp), scatter_mode)
+    tree = ClusterTree()
+    root_stats = ClusterStats.from_rows(matrix, np.arange(n, dtype=np.intp))
     tree.nodes.append(TreeNode(0, None, 0, root_stats))
 
     while True:
@@ -171,19 +153,16 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0,
         except DegenerateClusterError:
             node.final = True
             continue
+        children = [ClusterStats.from_rows(matrix, side) for side in (left, right)]
         if stop == "bic":
-            before = tree.partition()
-            after = _partition_with_split(tree, nid, left, right)
-            if not model_select.bic_split_test(node.members, left, right, before, after, matrix):
+            others = [leaf.stats for leaf in tree.leaves() if leaf.node_id != nid]
+            if not model_select.bic_split_test(
+                    [s.size for s in others], [s.sse for s in others], node.stats, *children):
                 node.final = True
                 continue
         node.direction = u
-        for side in (left, right):
-            child = TreeNode(
-                len(tree.nodes), nid, node.depth + 1,
-                ClusterStats.from_rows(matrix, side, scatter_mode),
-            )
-            tree.nodes.append(child)
+        for stats in children:
+            tree.nodes.append(TreeNode(len(tree.nodes), nid, node.depth + 1, stats))
         node.left = tree.nodes[-2].node_id
         node.right = tree.nodes[-1].node_id
     return tree

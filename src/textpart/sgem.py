@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import row_sq_norms, sq_distances
+from .linalg import cluster_sums, row_sq_norms, sq_distances
 from .partition import Partition
 
 # Keeps scores finite when a cluster collapses onto its centroid.
@@ -50,17 +50,6 @@ class SGemModel:
         return int(self.centroids.shape[1])
 
 
-def _cluster_sums(matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster row sums (k, d) and occupancy counts (k,)."""
-    counts = np.bincount(labels, minlength=k)
-    sums = np.zeros((k, matrix.shape[1]))
-    for j in range(k):
-        idx = np.nonzero(labels == j)[0]
-        if idx.size:
-            sums[j] = np.asarray(matrix[idx].sum(axis=0)).ravel()
-    return sums, counts
-
-
 def _repair_empty_clusters(labels: np.ndarray, counts: np.ndarray, matrix) -> np.ndarray:
     """Move the document farthest from its own centroid into each empty cluster.
 
@@ -70,7 +59,7 @@ def _repair_empty_clusters(labels: np.ndarray, counts: np.ndarray, matrix) -> np
     k = counts.shape[0]
     while np.any(counts == 0):
         empty = int(np.nonzero(counts == 0)[0][0])
-        sums, _ = _cluster_sums(matrix, labels, k)
+        sums, _ = cluster_sums(matrix, labels, k)
         centroids = np.zeros_like(sums)
         nonzero = counts > 0
         centroids[nonzero] = sums[nonzero] / counts[nonzero, None]
@@ -105,7 +94,7 @@ def m_step(assign: Partition, matrix) -> SGemModel:
         labels = _repair_empty_clusters(labels, counts, matrix)
         counts = np.bincount(labels, minlength=k)
 
-    sums, counts = _cluster_sums(matrix, labels, k)
+    sums, counts = cluster_sums(matrix, labels, k)
     centroids = sums / counts[:, None]
     # sum_i ||d_i - m_{z_i}||^2 = sum_i ||d_i||^2 - sum_j n_j ||m_j||^2
     residual = float(row_sq_norms(matrix).sum() - (counts * np.einsum("ij,ij->i", centroids, centroids)).sum())
@@ -132,7 +121,7 @@ def complete_log_likelihood(model: SGemModel, assign: Partition, matrix) -> floa
     """log L_c = sum_i [log P(c_{z_i}) - (d/2) log(2 pi s2) - ||d_i - m_{z_i}||^2/(2 s2)]."""
     n, d = matrix.shape
     labels = assign.labels
-    sums, counts = _cluster_sums(matrix, labels, model.k)
+    sums, counts = cluster_sums(matrix, labels, model.k)
     # per-cluster residual sum: sum_{i in j} ||d_i||^2 - 2 m_j . s_j + n_j ||m_j||^2
     rn = row_sq_norms(matrix)
     rn_per = np.bincount(labels, weights=rn, minlength=model.k)

@@ -25,14 +25,13 @@ which costs O(K * |supp(x)|) per step.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import xlogy
 
 from .corpus import JointDistribution
+from .linalg import cluster_sums
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -146,13 +145,8 @@ class SibState:
         self._doc_entropy_term = cum[self._indptr[1:]] - cum[self._indptr[:-1]]
 
         self.pt = np.zeros(k)
-        self.sizes = np.zeros(k, dtype=np.int64)
         np.add.at(self.pt, assignment, self.px)
-        np.add.at(self.sizes, assignment, 1)
-        indicator = sp.csr_array(
-            (np.ones(n), (assignment, np.arange(n))), shape=(k, n)
-        )
-        self.word_mass = np.asarray((indicator @ rows).todense())
+        self.word_mass, self.sizes = cluster_sums(rows, assignment, k)
 
         py = joint.py()
         self._neg_h_y = float(xlogy(py, py).sum())
@@ -260,7 +254,6 @@ def sib_run(
     eps: float = 0.0,
     seed: int = 0,
     init: np.ndarray | None = None,
-    workers: int = 1,
 ) -> IBPartition:
     """Cluster the joint's documents into exactly ``k`` clusters.
 
@@ -273,9 +266,6 @@ def sib_run(
 
     When ``init`` is given (refinement mode) a single sweep is run from
     that assignment instead of random restarts.
-
-    ``workers > 1`` evaluates restarts in a thread pool; the result is
-    identical to the sequential one.
     """
     n = joint.n_docs
     if k < 1 or k > n:
@@ -293,18 +283,11 @@ def sib_run(
         state = SibState(joint, assignment, k)
         return state.to_partition()
 
-    seeds = np.random.SeedSequence(seed).spawn(n_restarts)
-
-    def run_one(idx: int) -> tuple[np.ndarray, float]:
-        rng = np.random.default_rng(seeds[idx])
+    results = []
+    for sub_seed in np.random.SeedSequence(seed).spawn(n_restarts):
+        rng = np.random.default_rng(sub_seed)
         start = random_assignment(n, k, rng)
-        return _run_single(joint, k, start, max_loops, eps, rng)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, range(n_restarts)))
-    else:
-        results = [run_one(i) for i in range(n_restarts)]
+        results.append(_run_single(joint, k, start, max_loops, eps, rng))
 
     best = 0
     for i in range(1, n_restarts):

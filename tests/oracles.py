@@ -62,3 +62,14 @@ def cluster_stats_from_scratch(joint, assignment: np.ndarray, k: int):
         pt[j] += px[i]
         mass[j] += px[i] * cond[i]
     return pt, mass
+
+
+def cluster_sums_loop(matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster row sums (k, d) and counts (k,), one fancy-indexed slice per cluster."""
+    counts = np.bincount(labels, minlength=k)
+    sums = np.zeros((k, matrix.shape[1]))
+    for j in range(k):
+        idx = np.nonzero(labels == j)[0]
+        if idx.size:
+            sums[j] = np.asarray(matrix[idx].sum(axis=0)).ravel()
+    return sums, counts

@@ -238,12 +238,19 @@ def test_module_entry_point_subprocess(tmp_path):
     assert len(run.stdout.split()) == 3
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    prefix = _ingested_prefix(tmp_path)
-    monkeypatch.setenv("TEXTPART_THREADS", "2")
-    out = tmp_path / "thr.report"
-    assert main(["cluster", prefix, "--algo", "sib", "--stop", "fixed", "--k", "2",
-                 "--restarts", "3", "--output", str(out)]) == 0
-    monkeypatch.setenv("TEXTPART_THREADS", "bogus")
-    assert main(["cluster", prefix, "--algo", "sib", "--stop", "fixed", "--k", "2",
-                 "--output", str(tmp_path / "x.report")]) == 1
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cluster_rejects_non_finite_matrix_value(tmp_path, capsys, value):
+    prefix = tmp_path / "bad"
+    (tmp_path / "bad.mat").write_text(f"3 2 3\n0 0 1.0\n1 1 {value}\n2 0 2.0\n",
+                                      encoding="utf-8")
+    (tmp_path / "bad.vocab").write_text("a\nb\n", encoding="utf-8")
+    (tmp_path / "bad.docs").write_text("x\ny\nz\n", encoding="utf-8")
+    out = tmp_path / "bad.report"
+    for algo in ("pddp", "sib"):
+        capsys.readouterr()
+        assert main(["cluster", str(prefix), "--algo", algo, "--stop", "fixed", "--k", "2",
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("textpart: error: ") and "bad.mat" in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import dense_covariance, top_eigvec_dense
+from oracles import cluster_sums_loop, dense_covariance, top_eigvec_dense
 from textpart.linalg import (
+    ClusterStats,
     DegenerateClusterError,
     centroid,
+    cluster_sums,
     principal_direction,
     scatter_value,
     sq_distances,
@@ -50,9 +52,25 @@ def test_scatter_half_hypotenuse():
     assert scatter_value(rows, np.array([1.5, 2.0])) == pytest.approx(2.5)
 
 
-def test_scatter_sumsq_mode():
-    rows = np.array([[0.0], [2.0]])
-    assert scatter_value(rows, np.array([1.0]), mode="sumsq") == pytest.approx(2.0)
+def test_cluster_stats_sse():
+    stats = ClusterStats.from_rows(np.array([[0.0], [2.0]]), [0, 1])
+    assert stats.sse == pytest.approx(2.0)
+    assert stats.scatter == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_cluster_sums_matches_loop_oracle(sparse):
+    rng = np.random.default_rng(5)
+    X = rng.random((30, 7)) * (rng.random((30, 7)) > 0.4)
+    labels = rng.integers(0, 4, size=30)
+    labels[labels == 2] = 3  # cluster 2 stays empty
+    M = sp.csr_array(X) if sparse else X
+    sums, counts = cluster_sums(M, labels, 5)
+    ref_sums, ref_counts = cluster_sums_loop(M, labels, 5)
+    assert sums.shape == (5, 7)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(sums, ref_sums)  # same summation order, so bitwise equal
+    assert not sums[2].any() and not sums[4].any() and counts[2] == counts[4] == 0
 
 
 def test_scatter_translation_invariance():

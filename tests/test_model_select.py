@@ -2,12 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from datagen import two_gaussians
 from textpart import model_select
-from textpart.model_select import BICScore, bic_score, bic_split_test, csv, csv_stop, param_count
+from textpart.linalg import ClusterStats
+from textpart.model_select import (
+    BICScore,
+    bic_from_residuals,
+    bic_score,
+    bic_split_test,
+    csv,
+    csv_stop,
+    param_count,
+)
 from textpart.partition import Partition
 from textpart.pddp import pddp_run
+from textpart.sgem import SIGMA2_FLOOR, complete_log_likelihood, m_step
 
 
 def test_param_count_examples():
@@ -58,34 +69,126 @@ def test_bic_score_rejects_empty_cluster():
 
 
 def _split_inputs(X, left_mask):
+    """bic_split_test arguments for splitting the only leaf of ``X``."""
     members = np.arange(len(X))
-    left = members[left_mask]
-    right = members[~left_mask]
-    before = Partition(np.zeros(len(X), dtype=int), 1)
-    after = Partition(np.where(left_mask, 0, 1), 2)
-    return members, left, right, before, after
+    parent = ClusterStats.from_rows(X, members)
+    left = ClusterStats.from_rows(X, members[left_mask])
+    right = ClusterStats.from_rows(X, members[~left_mask])
+    return [], [], parent, left, right
 
 
 def test_bic_split_test_accepts_separated_halves():
     X, labels = two_gaussians(2, n=80)
-    members, left, right, before, after = _split_inputs(X, labels == 0)
-    assert bic_split_test(members, left, right, before, after, X)
+    assert bic_split_test(*_split_inputs(X, labels == 0))
 
 
 def test_bic_split_test_rejects_single_tight_gaussian():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(80, 2))
     mask = X[:, 0] <= np.median(X[:, 0])
-    members, left, right, before, after = _split_inputs(X, mask)
-    assert not bic_split_test(members, left, right, before, after, X)
+    assert not bic_split_test(*_split_inputs(X, mask))
 
 
 def test_bic_split_test_equal_scores_reject(monkeypatch):
     X, labels = two_gaussians(3, n=40)
-    members, left, right, before, after = _split_inputs(X, labels == 0)
     fixed = BICScore(loglik=-10.0, param_count=4, n=40)
-    monkeypatch.setattr(model_select, "bic_score", lambda *a, **k: fixed)
-    assert not bic_split_test(members, left, right, before, after, X)
+    monkeypatch.setattr(model_select, "bic_from_residuals", lambda *a, **k: fixed)
+    assert not bic_split_test(*_split_inputs(X, labels == 0))
+
+
+def _random_tree(rng, sparse, floor):
+    """Random rows, a random leaf partition, and a bipartition of one leaf.
+
+    With ``floor`` every leaf but the split one holds copies of a single
+    row, and the split one copies of two rows that the candidate split
+    separates: after the split every cluster is a point and the shared
+    variance hits its floor.
+    """
+    n, d = int(rng.integers(12, 60)), int(rng.integers(1, 6))
+    k = int(rng.integers(1, 5))
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(labels)
+    j = int(rng.integers(0, k))
+    members = np.flatnonzero(labels == j)
+    if floor:
+        second = (labels == j) & (rng.random(n) < 0.5)
+        X = rng.normal(size=(k + 1, d))[np.where(second, k, labels)]
+        mask = second[members]
+    else:
+        # each leaf is two blobs; the candidate split may follow them
+        blob = 2 * labels + rng.integers(0, 2, size=n)
+        X = rng.normal(size=(n, d)) + 4.0 * rng.normal(size=(2 * k, d))[blob]
+        if sparse:
+            X = np.abs(X) * (rng.random((n, d)) > 0.3)
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            mask = blob[members] % 2 == 0
+        elif kind == 1:
+            mask = rng.random(members.size) < 0.5
+        else:
+            proj = X[members] @ rng.normal(size=d)  # a hyperplane split
+            mask = proj <= np.median(proj)
+    if mask.all() or not mask.any():
+        return None
+    M = sp.csr_array(X) if sparse else X
+    return M, labels, k, j, members, members[mask], members[~mask]
+
+
+def _close(a, b):
+    if a == -np.inf or b == -np.inf:
+        return a == b
+    return abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+
+
+def test_bic_split_test_matches_full_partition_scores():
+    rng = np.random.default_rng(20)
+    decisions, trees, floors = [], 0, 0
+    while trees < 60:
+        sparse, floor = trees % 2 == 1, trees % 10 == 0
+        made = _random_tree(rng, sparse, floor)
+        if made is None:
+            continue
+        M, labels, k, j, members, left, right = made
+        trees += 1
+        d = M.shape[1]
+        stats = [ClusterStats.from_rows(M, np.flatnonzero(labels == c)) for c in range(k)]
+        others = [s for c, s in enumerate(stats) if c != j]
+        children = [ClusterStats.from_rows(M, side) for side in (left, right)]
+        got = bic_split_test([s.size for s in others], [s.sse for s in others],
+                             stats[j], *children)
+
+        sub = M[members]
+        local_labels = np.isin(members, right).astype(np.int64)
+        local_before = bic_score(Partition(np.zeros(members.size, dtype=np.int64), 1), sub)
+        local_after = bic_score(Partition(local_labels, 2), sub)
+        after_labels = labels.copy()
+        after_labels[right] = k
+        before, after = Partition(labels, k), Partition(after_labels, k + 1)
+        global_before, global_after = bic_score(before, M), bic_score(after, M)
+        want = (local_after.value > local_before.value
+                and global_after.value > global_before.value)
+        assert got == want
+        decisions.append(got)
+
+        # the residual-only global scores the split test compares
+        res_before = bic_from_residuals([s.size for s in stats], [s.sse for s in stats], d)
+        res_after = bic_from_residuals([s.size for s in others + children],
+                                       [s.sse for s in others + children], d)
+        assert _close(res_before.value, global_before.value)
+        assert _close(res_after.value, global_after.value)
+        floors += global_after.value == -np.inf
+
+        # bic_score against the sGEM complete-data log-likelihood of its M-step
+        for part in (before, after):
+            model = m_step(part, M)
+            if model.sigma2 <= SIGMA2_FLOOR:
+                assert bic_score(part, M).value == -np.inf
+                continue
+            ref = (complete_log_likelihood(model, part, M)
+                   - param_count(part.k, d) / 2.0 * math.log(M.shape[0]))
+            assert _close(bic_score(part, M).value, ref)
+    assert floors >= 1
+    assert any(decisions) and not all(decisions)
 
 
 def test_csv_of_symmetric_leaf_pair():

@@ -161,13 +161,6 @@ def test_sib_deterministic_per_seed():
     assert a.score == b.score
 
 
-def test_sib_workers_match_sequential():
-    joint = random_joint(25, 6, seed=5)
-    seq = sib_run(joint, 3, n_restarts=4, seed=2, workers=1)
-    par = sib_run(joint, 3, n_restarts=4, seed=2, workers=4)
-    assert np.array_equal(seq.assignment, par.assignment)
-
-
 def test_sib_step_monotonicity_and_exact_k():
     joint = random_joint(40, 10, seed=4)
     k = 5
