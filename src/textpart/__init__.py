@@ -14,6 +14,7 @@ from .corpus import (
 from .evaluate import Contingency, nmi
 from .linalg import (
     ClusterStats,
+    ConvergenceError,
     DegenerateClusterError,
     centroid,
     principal_direction,
@@ -41,6 +42,7 @@ __all__ = [
     "ClusterStats",
     "ClusterTree",
     "Contingency",
+    "ConvergenceError",
     "DegenerateClusterError",
     "EmptyCorpusError",
     "IBPartition",

@@ -37,6 +37,7 @@ from .corpus import (
     write_matrix,
 )
 from .evaluate import nmi
+from .linalg import ConvergenceError
 from .partition import Partition
 from .pddp import pddp_run
 from .sgem import sgem_run
@@ -243,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         _validate_cluster_flags(parser, args)
     try:
         return args.func(args)
-    except (ValueError, EmptyCorpusError, OSError) as exc:
+    except (ValueError, EmptyCorpusError, OSError, ConvergenceError) as exc:
         print(f"textpart: error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,9 @@
 A document collection is an ``(n_rows, n_dims)`` matrix, either a dense
 ``numpy.ndarray`` or a ``scipy.sparse`` CSR array; single vectors are 1-D
 float arrays. The covariance of a row set is never materialized: the
-principal direction is extracted with matrix-free power iteration so that
-high-dimensional sparse term matrices stay sparse.
+principal direction is extracted by a matrix-free restarted Lanczos
+(Krylov Rayleigh-Ritz) solve so that high-dimensional sparse term matrices
+stay sparse.
 """
 
 from __future__ import annotations
@@ -18,9 +19,18 @@ import scipy.sparse as sp
 # indistinguishable from a point at float64 precision.
 _DEGENERATE_REL_TOL = 1e-14
 
+# Lanczos basis size per cycle and the number of cycles before the
+# principal-direction solve gives up.
+_KRYLOV_DIM = 24
+_MAX_RESTARTS = 50
+
 
 class DegenerateClusterError(ValueError):
     """All rows of the cluster coincide; it has no principal direction."""
+
+
+class ConvergenceError(ArithmeticError):
+    """An iterative solve did not meet its accuracy bound within its budget."""
 
 
 def row_sq_norms(rows) -> np.ndarray:
@@ -106,22 +116,27 @@ def total_scatter_sq(rows, center: np.ndarray) -> float:
     return float(sq_distances(rows, center)[:, 0].sum())
 
 
-def principal_direction(rows, seed=0, tol: float = 1e-10,
-                        max_iter: int = 1000) -> np.ndarray:
+def principal_direction(rows, seed=0) -> np.ndarray:
     """Unit leading eigenvector of the covariance of a row set.
 
-    Power iteration on the matrix-free operator
-    ``v -> (1/n) M^T (M v) - w (w . v)`` where ``M`` stacks the rows and
-    ``w`` is their mean; the covariance itself is never formed. The start
-    vector is drawn uniformly from the seeded generator and re-drawn if an
-    iterate collapses. Iteration stops once successive unit iterates
-    satisfy ``1 - |v_new . v| < tol`` or after ``max_iter`` rounds. The
-    sign is fixed so the first nonzero coordinate is positive.
+    Restarted Lanczos: the covariance ``C`` is applied matrix-free as
+    ``v -> (1/n) M^T (M v) - w (w . v)``, where ``M`` stacks the rows and
+    ``w`` is their mean, and is never formed. Each cycle grows a fully
+    re-orthogonalised Krylov basis of up to ``_KRYLOV_DIM`` vectors, takes
+    the top eigenpair ``(lam, u)`` of ``C`` projected onto it (Rayleigh-Ritz)
+    and restarts from ``u`` until ``||C u - lam u|| <= 1e-8 max(1, |lam|)``.
+    The result is the power step ``C u / ||C u||``, which lies in the range
+    of ``C``: coordinates no row varies in are exactly zero. The sign is
+    fixed so the first nonzero coordinate is positive.
 
-    ``seed`` may be an int or a ``numpy.random.Generator``.
+    ``seed`` may be an int or a ``numpy.random.Generator``; the start vector
+    is drawn uniformly from it and re-drawn while it lies (numerically) in
+    the null space of ``C``.
 
     Raises ``DegenerateClusterError`` when all rows coincide (zero
-    covariance), which callers treat as "this cluster cannot be split".
+    covariance), which callers treat as "this cluster cannot be split", and
+    ``ConvergenceError`` when the residual bound is not met within
+    ``_MAX_RESTARTS`` cycles.
     """
     n, dim = rows.shape
     if n < 2:
@@ -135,44 +150,44 @@ def principal_direction(rows, seed=0, tol: float = 1e-10,
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     trace = total / n  # = tr(C), an upper bound scale for eigenvalues
+    rows_t = rows.T.tocsr() if sp.issparse(rows) else rows.T
 
     def apply_cov(v: np.ndarray) -> np.ndarray:
-        mv = np.asarray(rows @ v).ravel()
-        out = np.asarray(rows.T @ mv).ravel() / n
-        out -= w * float(w @ v)
-        return out
+        return rows_t @ (rows @ v) / n - w * (w @ v)
 
-    def draw_start() -> np.ndarray:
+    for _ in range(51):  # one draw, then up to 50 redraws
         v = rng.uniform(-1.0, 1.0, size=dim)
-        nv = np.linalg.norm(v)
-        return v / nv if nv > 0 else draw_start()
-
-    v = draw_start()
-    redraws = 0
-    it = 0
-    while it < max_iter:
+        v /= np.linalg.norm(v)
         cv = apply_cov(v)
-        nrm = float(np.linalg.norm(cv))
-        if nrm <= 1e-14 * trace:
-            # start landed (numerically) in the null space; try again
-            redraws += 1
-            if redraws > 50:
-                raise DegenerateClusterError("degenerate cluster: covariance is null")
-            v = draw_start()
-            continue
-        # Rayleigh quotient and eigen-residual of the pre-update iterate; the
-        # plateau test alone can stop with residuals far above the promised
-        # ||Cu - lambda u|| bound when the spectral gap is moderate.
-        lam = float(v @ cv)
-        resid = float(np.linalg.norm(cv - lam * v))
-        nv = cv / nrm
-        plateau = 1.0 - abs(float(nv @ v)) < tol
-        v = nv
-        it += 1
-        if plateau and resid <= 1e-8 * max(1.0, abs(lam)):
+        if np.linalg.norm(cv) > 1e-14 * trace:  # else v lies in the null space of C
             break
+    else:
+        raise DegenerateClusterError("degenerate cluster: covariance is null")
 
-    nz = np.nonzero(v)[0]
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return v
+    basis, images = np.empty((2, min(_KRYLOV_DIM, dim), dim))  # images[j] = C basis[j]
+    basis[0], images[0] = v, cv
+    for _ in range(_MAX_RESTARTS):
+        k = 1
+        while k < len(basis):
+            q = basis[:k]
+            r = images[k - 1] - (q @ images[k - 1]) @ q
+            r -= (q @ r) @ q  # second Gram-Schmidt pass keeps the basis orthonormal
+            nr = np.linalg.norm(r)
+            if nr <= 1e-12 * trace:
+                break  # the basis spans an invariant subspace
+            basis[k] = r / nr
+            images[k] = apply_cov(basis[k])
+            k += 1
+        evals, evecs = np.linalg.eigh(basis[:k] @ images[:k].T)
+        u, cu = evecs[:, -1] @ basis[:k], evecs[:, -1] @ images[:k]
+        if np.linalg.norm(cu - evals[-1] * u) <= 1e-8 * max(1.0, abs(evals[-1])):
+            break
+        basis[0], images[0] = u / np.linalg.norm(u), cu / np.linalg.norm(u)
+    else:
+        raise ConvergenceError(f"principal direction did not converge in {_MAX_RESTARTS} restarts")
+
+    u = cu / np.linalg.norm(cu)
+    nz = np.nonzero(u)[0]
+    if nz.size and u[nz[0]] < 0:
+        u = -u
+    return u

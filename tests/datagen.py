@@ -64,6 +64,17 @@ def random_joint(n: int, m: int, seed: int, alpha: float = 0.5) -> JointDistribu
     return JointDistribution(np.full(n, 1.0 / n), sp.csr_array(cond))
 
 
+def near_tied_cloud(seed: int):
+    """200 centered 60-D points whose covariance is exactly diagonal with
+    eigenvalues 1, 1 - 1e-6, then evenly spaced from 0.9 down to 0.1: the
+    top eigenpair is nearly tied, so one short Krylov cycle cannot resolve it."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(200, 60))
+    q, _ = np.linalg.qr(z - z.mean(axis=0))
+    lam = np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.9, 0.1, 58)])
+    return np.sqrt(200) * q * np.sqrt(lam)
+
+
 def dense_matrix(rows: np.ndarray, shift: float = 0.0) -> TermDocMatrix:
     """Wrap a dense point set as a TermDocMatrix (optionally shifted so all
     values are nonnegative, which the matrix file format requires)."""

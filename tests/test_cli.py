@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from datagen import five_clusters, dense_matrix
+from datagen import dense_matrix, five_clusters, near_tied_cloud
+import textpart
+from textpart import linalg
 from textpart.cli import main
 from textpart.corpus import write_matrix
 from textpart.report import read_report
@@ -223,19 +230,28 @@ def test_invalid_flag_combinations_exit_2(argv):
     assert err.value.code == 2
 
 
-def test_module_entry_point_subprocess(tmp_path):
-    import subprocess
-    import sys
+def _run_python(*args):
+    """Run the interpreter on ``args`` with this process's textpart importable."""
+    src = str(Path(textpart.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
+
+def test_module_entry_point_subprocess(tmp_path):
     d = _make_corpus_dir(tmp_path)
     prefix = tmp_path / "sp"
-    run = subprocess.run(
-        [sys.executable, "-m", "textpart.cli", "ingest", str(d),
-         "--output", str(prefix), "--min-count", "1"],
-        capture_output=True, text=True,
-    )
+    run = _run_python("-m", "textpart.cli", "ingest", str(d),
+                      "--output", str(prefix), "--min-count", "1")
     assert run.returncode == 0
     assert len(run.stdout.split()) == 3
+
+
+def test_cli_import_leaves_out_sparse_linalg():
+    # scipy.sparse.linalg costs ~50 ms and ~8 MB per process; no command needs it
+    run = _run_python("-c", "import sys, textpart.cli; "
+                            "assert 'scipy.sparse.linalg' not in sys.modules")
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -254,3 +270,16 @@ def test_cluster_rejects_non_finite_matrix_value(tmp_path, capsys, value):
         assert err.startswith("textpart: error: ") and "bad.mat" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):
+    X = near_tied_cloud(0)
+    prefix = tmp_path / "tied"
+    write_matrix(dense_matrix(X, shift=-X.min()), prefix)
+    out = tmp_path / "tied.report"
+    monkeypatch.setattr(linalg, "_MAX_RESTARTS", 1)
+    assert main(["cluster", str(prefix), "--algo", "pddp", "--stop", "fixed", "--k", "2",
+                 "--weighting", "none", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("textpart: error: ") and "did not converge" in err
+    assert not out.exists()

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from datagen import near_tied_cloud
 from oracles import cluster_sums_loop, dense_covariance, top_eigvec_dense
+from textpart import linalg
 from textpart.linalg import (
     ClusterStats,
+    ConvergenceError,
     DegenerateClusterError,
     centroid,
     cluster_sums,
@@ -12,6 +15,7 @@ from textpart.linalg import (
     scatter_value,
     sq_distances,
 )
+from textpart.pddp import pddp_run
 
 
 def test_centroid_midpoint():
@@ -148,3 +152,53 @@ def test_principal_direction_sparse_rows():
     X = rng.random((30, 8)) * (rng.random((30, 8)) > 0.6)
     u = principal_direction(sp.csr_array(X), seed=3)
     assert abs(u @ top_eigvec_dense(X)) >= 1 - 1e-6
+
+
+def test_principal_direction_range_property_fixes_sign_on_support():
+    # no row uses column 0, so the direction must be exactly 0 there and its
+    # sign is fixed on column 1, the first coordinate in the support
+    rng = np.random.default_rng(21)
+    X = rng.random((40, 12)) * (rng.random((40, 12)) > 0.5)
+    X[:, 0] = 0.0
+    X[:, 1] = rng.random(40) + 0.5
+    rows = sp.csr_array(X)
+    for seed in range(5):
+        u = principal_direction(rows, seed=seed)
+        assert u[0] == 0.0
+        assert u[1] > 0
+        assert abs(u @ top_eigvec_dense(X)) >= 1 - 1e-6
+
+
+class _NullStartGenerator(np.random.Generator):
+    """A real generator whose first ``uniform`` draw is a fixed vector."""
+
+    def __init__(self, first):
+        super().__init__(np.random.PCG64(0))
+        self.first = np.asarray(first, dtype=float)
+        self.draws = 0
+
+    def uniform(self, *args, **kwargs):
+        self.draws += 1
+        if self.draws == 1:
+            return self.first.copy()
+        return super().uniform(*args, **kwargs)
+
+
+def test_principal_direction_redraws_start_in_null_space():
+    # the rows vary only along x, so the start (0, 1) lies in the null space of C
+    rows = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
+    rng = _NullStartGenerator([0.0, 1.0])
+    u = principal_direction(rows, seed=rng)
+    assert rng.draws == 2
+    assert np.all(np.isfinite(u))
+    assert u[0] == pytest.approx(1.0) and abs(u[1]) < 1e-12
+
+
+def test_principal_direction_raises_when_restart_budget_is_spent(monkeypatch):
+    X = near_tied_cloud(0)
+    assert abs(principal_direction(X, seed=0) @ top_eigvec_dense(X)) >= 1 - 1e-3
+    monkeypatch.setattr(linalg, "_MAX_RESTARTS", 1)
+    with pytest.raises(ConvergenceError):
+        principal_direction(X, seed=0)
+    with pytest.raises(ConvergenceError):  # not taken for a degenerate cluster
+        pddp_run(X, stop="fixed", k=2, seed=0)

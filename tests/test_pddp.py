@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from datagen import five_clusters, two_gaussians
-from textpart import nmi
+from datagen import five_clusters, multinomial_corpus, two_gaussians
+from oracles import top_eigvec_dense
+from textpart import nmi, pddp
+from textpart.corpus import tfidf_weight
 from textpart.linalg import ClusterStats, DegenerateClusterError
 from textpart.pddp import (
     ClusterTree,
@@ -181,3 +183,23 @@ def test_pddp_bic_stop_finds_two_clouds():
     tree = pddp_run(X, stop="bic", seed=4)
     assert tree.n_leaves == 2
     assert nmi(tree.partition(), labels) >= 0.95
+
+
+def _oracle_direction(rows, seed):
+    """Dense-eigh direction, signed like the solver: positive on the first
+    column any row uses."""
+    u = top_eigvec_dense(rows)
+    first = np.flatnonzero(np.asarray(abs(rows).sum(axis=0)).ravel())[0]
+    return u if u[first] > 0 else -u
+
+
+@pytest.mark.parametrize("stop", ["fixed", "bic"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pddp_partition_matches_dense_eigen_oracle(monkeypatch, seed, stop):
+    tdm, _ = multinomial_corpus(seed)
+    matrix = tfidf_weight(tdm)[0].matrix
+    k = 8 if stop == "fixed" else None
+    solved = pddp_run(matrix, stop=stop, k=k, seed=seed).partition().labels
+    monkeypatch.setattr(pddp, "principal_direction", _oracle_direction)
+    oracle = pddp_run(matrix, stop=stop, k=k, seed=seed).partition().labels
+    assert solved.tobytes() == oracle.tobytes()
