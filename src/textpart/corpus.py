@@ -285,9 +285,12 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
-    for p, line in enumerate(text[1:]):
-        i_s, j_s, v_s = line.split()
-        rows[p], cols[p], vals[p] = int(i_s), int(j_s), float(v_s)
+    try:
+        for p, line in enumerate(text[1:]):
+            i_s, j_s, v_s = line.split()
+            rows[p], cols[p], vals[p] = int(i_s), int(j_s), float(v_s)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}.mat: malformed entry on line {p + 2}: {line!r} ({exc})") from exc
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"{prefix}.mat: non-finite value on line {bad[0] + 2}")

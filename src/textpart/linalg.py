@@ -50,15 +50,20 @@ def centroid(rows) -> np.ndarray:
     return np.asarray(rows, dtype=float).mean(axis=0)
 
 
-def sq_distances(rows, centers: np.ndarray) -> np.ndarray:
+def sq_distances(rows, centers: np.ndarray, *, sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances from every row to every center.
 
     Returns an (n_rows, n_centers) dense array. Uses the expansion
     ||d - m||^2 = ||d||^2 - 2 d.m + ||m||^2 so CSR rows are never
     densified; tiny negative values from cancellation are clipped to 0.
+    ``sq_norms``, if given, must be ``row_sq_norms(rows)``. sGEM computes
+    it once per run and passes it to every E-step, so each call costs one
+    pass over the rows, the cross product ``rows @ centers.T``; with one
+    ``cluster_sums`` per iteration, that is all an sGEM iteration reads of
+    the matrix.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    rn = row_sq_norms(rows)
+    rn = row_sq_norms(rows) if sq_norms is None else sq_norms
     cn = np.einsum("ij,ij->i", centers, centers)
     cross = np.asarray(rows @ centers.T)
     d2 = rn[:, None] - 2.0 * cross + cn[None, :]
@@ -116,6 +121,26 @@ def total_scatter_sq(rows, center: np.ndarray) -> float:
     return float(sq_distances(rows, center)[:, 0].sum())
 
 
+def _constant_columns(rows, rows_t) -> np.ndarray:
+    """Boolean mask of the columns that take one value over all rows.
+
+    ``rows_t`` is the transpose of ``rows`` (CSR when ``rows`` is sparse).
+    A sparse column is constant when it stores an entry in every row and
+    those entries agree, or when every value it stores is zero.
+    """
+    if not sp.issparse(rows):
+        return np.ptp(rows, axis=0) == 0
+    stored = np.diff(rows_t.indptr)
+    constant = stored == 0
+    used = np.flatnonzero(stored)
+    if used.size:
+        starts = rows_t.indptr[used]
+        hi = np.maximum.reduceat(rows_t.data, starts)
+        lo = np.minimum.reduceat(rows_t.data, starts)
+        constant[used] = (hi == lo) & ((stored[used] == rows.shape[0]) | (hi == 0))
+    return constant
+
+
 def principal_direction(rows, seed=0) -> np.ndarray:
     """Unit leading eigenvector of the covariance of a row set.
 
@@ -126,8 +151,11 @@ def principal_direction(rows, seed=0) -> np.ndarray:
     the top eigenpair ``(lam, u)`` of ``C`` projected onto it (Rayleigh-Ritz)
     and restarts from ``u`` until ``||C u - lam u|| <= 1e-8 max(1, |lam|)``.
     The result is the power step ``C u / ||C u||``, which lies in the range
-    of ``C``: coordinates no row varies in are exactly zero. The sign is
-    fixed so the first nonzero coordinate is positive.
+    of ``C``. Coordinates of columns that are constant over the rows are
+    then set to exactly zero: their variance is zero, so only rounding
+    noise (~1e-16) sits there. The sign is fixed so the first nonzero
+    coordinate is positive, which makes it a property of the data rather
+    than of the seed or the storage format.
 
     ``seed`` may be an int or a ``numpy.random.Generator``; the start vector
     is drawn uniformly from it and re-drawn while it lies (numerically) in
@@ -187,6 +215,7 @@ def principal_direction(rows, seed=0) -> np.ndarray:
         raise ConvergenceError(f"principal direction did not converge in {_MAX_RESTARTS} restarts")
 
     u = cu / np.linalg.norm(cu)
+    u[_constant_columns(rows, rows_t)] = 0.0
     nz = np.nonzero(u)[0]
     if nz.size and u[nz[0]] < 0:
         u = -u

@@ -272,6 +272,20 @@ def test_cluster_rejects_non_finite_matrix_value(tmp_path, capsys, value):
         assert not out.exists()
 
 
+def test_cluster_malformed_matrix_line_exits_1(tmp_path, capsys):
+    prefix = tmp_path / "bad"
+    (tmp_path / "bad.mat").write_text("3 2 3\n0 0 1.0\n1 1\n2 0 2.0\n", encoding="utf-8")
+    (tmp_path / "bad.vocab").write_text("a\nb\n", encoding="utf-8")
+    (tmp_path / "bad.docs").write_text("x\ny\nz\n", encoding="utf-8")
+    out = tmp_path / "bad.report"
+    assert main(["cluster", str(prefix), "--algo", "pddp", "--stop", "fixed", "--k", "2",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("textpart: error: ") and "bad.mat" in err and "line 3" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):
     X = near_tied_cloud(0)
     prefix = tmp_path / "tied"

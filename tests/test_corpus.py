@@ -225,3 +225,27 @@ def test_matrix_file_header_mismatch(tmp_path):
     (tmp_path / "bad.docs").write_text("0\n1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 3 entries"):
         read_matrix(p)
+
+
+def _write_mat(tmp_path, body: str, n_docs: int = 3, n_terms: int = 2):
+    lines = body.strip().splitlines()
+    (tmp_path / "bad.mat").write_text(f"{n_docs} {n_terms} {len(lines)}\n" + "\n".join(lines) + "\n",
+                                      encoding="utf-8")
+    (tmp_path / "bad.vocab").write_text("".join(f"w{j}\n" for j in range(n_terms)), encoding="utf-8")
+    (tmp_path / "bad.docs").write_text("".join(f"d{i}\n" for i in range(n_docs)), encoding="utf-8")
+    return tmp_path / "bad"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 0 1.0\n1 1 2.0\n0 0 3.0", r"bad\.mat: duplicate \(doc, term\) entry"),
+    ("0 0 1.0\n3 1 2.0", r"bad\.mat: entry index out of range"),
+    ("0 0 1.0\n1 2 2.0", r"bad\.mat: entry index out of range"),
+    ("0 -1 1.0\n1 1 2.0", r"bad\.mat: entry index out of range"),
+    ("0 0 1.0\n1 1\n2 0 1.0", r"bad\.mat: malformed entry on line 3: '1 1'"),
+    ("0 0 1.0\n1 x 2.0", r"bad\.mat: malformed entry on line 3: '1 x 2.0'"),
+    ("0 0 1.0\n1.5 1 2.0", r"bad\.mat: malformed entry on line 3"),
+    ("0 0 one", r"bad\.mat: malformed entry on line 2"),
+])
+def test_read_matrix_rejects_bad_entries(tmp_path, body, message):
+    with pytest.raises(ValueError, match=message):
+        read_matrix(_write_mat(tmp_path, body))

@@ -169,6 +169,20 @@ def test_principal_direction_range_property_fixes_sign_on_support():
         assert abs(u @ top_eigvec_dense(X)) >= 1 - 1e-6
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_principal_direction_constant_column_does_not_decide_the_sign(sparse):
+    # column 0 is constant, so its covariance coordinate is rounding noise;
+    # the sign must be fixed on column 1 for every seed and storage format.
+    # Column 2 stores equal values in only some rows, so it varies.
+    X = np.array([[5.0, 0.0, 3.0], [5.0, 1.0, 3.0], [5.0, 2.0, 3.0], [5.0, 4.0, 0.0]])
+    rows = sp.csr_array(X) if sparse else X
+    for seed in range(4):
+        u = principal_direction(rows, seed=seed)
+        assert u[0] == 0
+        assert u[1] > 0
+        assert abs(u @ top_eigvec_dense(X)) >= 1 - 1e-12
+
+
 class _NullStartGenerator(np.random.Generator):
     """A real generator whose first ``uniform`` draw is a fixed vector."""
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from datagen import five_clusters, two_gaussians
-from textpart import nmi, pddp_run
+from datagen import five_clusters, multinomial_corpus, two_gaussians
+from oracles import sgem_run_recompute
+from textpart import linalg, nmi, pddp_run, sgem, tfidf_weight
 from textpart.partition import Partition
 from textpart.sgem import (
     SIGMA2_FLOOR,
@@ -172,3 +173,81 @@ def test_idempotence_at_convergence():
     once = e_step(m_step(final, X), X)
     twice = e_step(m_step(once, X), X)
     assert np.array_equal(once.labels, twice.labels)
+
+
+# --- shared statistics: same bits, fewer passes -------------------------------
+
+def _c9_case(stop):
+    tdm, _ = multinomial_corpus(0)
+    matrix = tfidf_weight(tdm)[0].matrix
+    return pddp_run(matrix, stop=stop, k=8, seed=0).partition(), matrix
+
+
+def _emptying_case():
+    """Two blobs plus a third cluster of one doc from each: its centroid sits
+    between the blobs, so the first E-step empties it and the next M-step
+    must repair it."""
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(0.0, 0.5, size=(20, 2)), rng.normal(10.0, 0.5, size=(20, 2))])
+    labels = np.array([0] * 20 + [1] * 20)
+    labels[[0, 20]] = 2
+    return Partition(labels, 3), X
+
+
+def _count_calls(monkeypatch, owner, name, counter):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counter[name] = counter.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("case", ["c9-bic", "c9-fixed", "five-clusters", "emptying"])
+def test_sgem_run_matches_recompute_oracle(case, monkeypatch):
+    if case.startswith("c9"):
+        init, matrix = _c9_case(case[3:])
+    elif case == "five-clusters":
+        X, _ = five_clusters(0)
+        init, matrix = pddp_run(X, stop="fixed", k=5, seed=0).partition(), X
+    else:
+        init, matrix = _emptying_case()
+    calls = {}
+    _count_calls(monkeypatch, sgem, "_repair_empty_clusters", calls)
+    final, model, trace = sgem_run(init, matrix)
+    labels, centroids, sigma2, oracle_trace = sgem_run_recompute(init, matrix)
+    assert np.array_equal(final.labels, labels)
+    assert trace == oracle_trace
+    assert np.array_equal(model.centroids, centroids)
+    assert model.sigma2 == sigma2
+    assert len(trace) > 1
+    if case == "emptying":
+        assert calls.get("_repair_empty_clusters", 0) >= 1
+        assert np.bincount(final.labels, minlength=3).min() >= 1
+
+
+@pytest.mark.parametrize("case", ["c9-bic", "emptying"])
+def test_sgem_run_computes_each_statistic_once(case, monkeypatch):
+    init, matrix = _c9_case("bic") if case == "c9-bic" else _emptying_case()
+    calls = {}
+    for name in ("cluster_sums", "row_sq_norms", "m_step", "e_step", "complete_log_likelihood"):
+        _count_calls(monkeypatch, sgem, name, calls)
+    # sq_distances looks row norms up in linalg; count those calls too
+    _count_calls(monkeypatch, linalg, "row_sq_norms", calls)
+    moves = {"n": 0}
+    repair = sgem._repair_empty_clusters
+
+    def counting_moves(labels, sums, counts, *args, **kwargs):
+        moves["n"] += int(np.count_nonzero(counts == 0))
+        return repair(labels, sums, counts, *args, **kwargs)
+
+    monkeypatch.setattr(sgem, "_repair_empty_clusters", counting_moves)
+    _, _, trace = sgem_run(init, matrix)
+    iterations = len(trace)
+    assert calls["row_sq_norms"] == 1
+    # one per iteration for the new labels, one for the initial partition,
+    # one after each document a repair moves into an empty cluster
+    assert calls["cluster_sums"] == iterations + 1 + moves["n"]
+    assert calls["m_step"] == calls["e_step"] == calls["complete_log_likelihood"] == iterations
+    assert (moves["n"] > 0) == (case == "emptying")
