@@ -13,7 +13,7 @@ File formats handled here:
   (doc_id = 1-based line number);
 * stop-word list: one term per line;
 * sparse matrix: first line ``n_docs n_terms nnz``, then one
-  ``doc_index term_index value`` line per entry (0-based, space-separated),
+  ``doc_index term_index value`` line per entry (0-based, whitespace-separated),
   with companion ``.vocab`` (one term per line) and ``.docs`` (one doc_id
   per line) files;
 * labels: one category string per document, same order as ``.docs``.
@@ -21,9 +21,11 @@ File formats handled here:
 
 from __future__ import annotations
 
+import os
 import re
+import warnings
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,13 +62,6 @@ class TermDocMatrix:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
-
-    def entries(self) -> Iterable[tuple[int, int, float]]:
-        """Yield (doc_index, term_index, value) triples in row-major order."""
-        m = self.matrix
-        for i in range(m.shape[0]):
-            for p in range(m.indptr[i], m.indptr[i + 1]):
-                yield i, int(m.indices[p]), float(m.data[p])
 
     def validate(self) -> None:
         m = self.matrix
@@ -256,12 +251,28 @@ def read_labels(path: str | Path) -> list[str]:
     return [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
+# Entries ``write_matrix`` formats per write.
+_WRITE_BLOCK = 1 << 16
+
+
 def write_matrix(m: TermDocMatrix, prefix: str | Path) -> None:
-    """Write ``<prefix>.mat``, ``<prefix>.vocab`` and ``<prefix>.docs``."""
+    """Write ``<prefix>.mat``, ``<prefix>.vocab`` and ``<prefix>.docs``.
+
+    Entries are written in stored (row-major) order, each value as the
+    ``repr`` of its float, which parses back to the same bits. They are
+    formatted ``_WRITE_BLOCK`` at a time, so the Python objects of only one
+    block are alive at once.
+    """
     prefix = Path(prefix)
-    lines = [f"{m.n_docs} {m.n_terms} {m.nnz}"]
-    lines.extend(f"{i} {j} {v!r}" for i, j, v in m.entries())
-    Path(str(prefix) + ".mat").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    x = m.matrix
+    rows = np.repeat(np.arange(m.n_docs), np.diff(x.indptr))
+    values = x.data.astype(np.float64, copy=False)
+    with open(f"{prefix}.mat", "w", encoding="utf-8") as fh:
+        fh.write(f"{m.n_docs} {m.n_terms} {m.nnz}\n")
+        for b in range(0, rows.size, _WRITE_BLOCK):
+            block = slice(b, b + _WRITE_BLOCK)
+            triples = zip(rows[block].tolist(), x.indices[block].tolist(), values[block].tolist())
+            fh.write("".join(f"{i} {j} {v!r}\n" for i, j, v in triples))
     Path(str(prefix) + ".vocab").write_text(
         "".join(t + "\n" for t in m.vocab), encoding="utf-8"
     )
@@ -271,17 +282,101 @@ def write_matrix(m: TermDocMatrix, prefix: str | Path) -> None:
 
 
 def read_matrix(prefix: str | Path) -> TermDocMatrix:
-    """Read the three files written by ``write_matrix``."""
+    """Read the three files written by ``write_matrix``.
+
+    ``np.loadtxt`` parses the entries (``_read_entries``). A file it might
+    read differently from the line-by-line reader goes to that reader
+    (``_read_entries_by_line``), which names the line of a malformed entry,
+    so both accept the same files and return the same matrix.
+    """
     prefix = Path(prefix)
-    text = Path(str(prefix) + ".mat").read_text(encoding="utf-8").splitlines()
+    mat = Path(f"{prefix}.mat")
+    n_docs, n_terms, rows, cols, vals = _read_entries(mat) or _read_entries_by_line(mat)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"{mat}: non-finite value on line {bad[0] + 2}")
+    if vals.size:
+        if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
+            raise ValueError(f"{mat}: entry index out of range")
+    matrix = _entries_to_csr(rows, cols, vals, (n_docs, n_terms), mat)
+    vocab = Path(str(prefix) + ".vocab").read_text(encoding="utf-8").splitlines()
+    doc_ids = Path(str(prefix) + ".docs").read_text(encoding="utf-8").splitlines()
+    tdm = TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
+    tdm.validate()
+    return tdm
+
+
+# One entry line of a ``.mat`` file: doc index, term index, value.
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# Characters per ``np.loadtxt`` call: enough to amortise the call, few enough
+# that one chunk's line strings stay small next to the entry arrays.
+_CHUNK_CHARS = 1 << 13
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+_Entries = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _read_entries(mat: Path) -> _Entries | None:
+    """Header and entry arrays of a ``.mat`` file, parsed by ``np.loadtxt``.
+
+    The text is read in chunks that end at a ``"\\n"`` and each chunk is
+    split by ``str.splitlines``, so the lines are exactly the ones
+    ``_read_entries_by_line`` splits the whole text into. ``np.loadtxt``
+    splits fields at the same whitespace as ``str.split``, and every number
+    it parses, ``int`` and ``float`` parse to the same value. Returns None
+    where the two could still disagree: a header that is not three integers
+    on one line, a blank line (``np.loadtxt`` skips it), a field
+    ``np.loadtxt`` rejects (``1_0`` or a non-ASCII digit, which ``int``
+    accepts), any warning it gives, or an entry count other than the
+    header's.
+    """
+    with open(mat, encoding="utf-8") as fh:
+        try:
+            # np.loadtxt warns of a chunk with no data and, before numpy 2,
+            # parses "1.0" as an integer with only a warning: decline both.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                header = fh.readline().splitlines()
+                fields = header[0].split() if len(header) == 1 else ()
+                if len(fields) != 3:
+                    return None
+                n_docs, n_terms, nnz = (int(x) for x in fields)
+                # Bounds the arrays below: a file of N bytes holds at most N lines.
+                if not 0 <= nnz <= os.fstat(fh.fileno()).st_size:
+                    return None
+                rows, cols = np.empty(nnz, np.int64), np.empty(nnz, np.int64)
+                vals = np.empty(nnz, np.float64)
+                done = 0
+                while chunk := fh.read(_CHUNK_CHARS):
+                    lines = (chunk + fh.readline()).splitlines()
+                    end = done + len(lines)
+                    if end > nnz:
+                        return None
+                    table = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+                    if table.size != len(lines):
+                        return None
+                    rows[done:end], cols[done:end], vals[done:end] = table["i"], table["j"], table["v"]
+                    done = end
+        except (ValueError, Warning):
+            return None
+    return (n_docs, n_terms, rows, cols, vals) if done == nnz else None
+
+
+def _read_entries_by_line(mat: Path) -> _Entries:
+    """Header and entry arrays of a ``.mat`` file, read one line at a time.
+
+    Raises a ``ValueError`` naming the file, and the line of a malformed
+    entry, for a file that is not one header plus ``nnz`` entry lines.
+    """
+    text = mat.read_text(encoding="utf-8").splitlines()
     if not text:
-        raise ValueError(f"{prefix}.mat is empty")
+        raise ValueError(f"{mat} is empty")
     header = text[0].split()
     if len(header) != 3:
-        raise ValueError(f"{prefix}.mat: malformed header {text[0]!r}")
+        raise ValueError(f"{mat}: malformed header {text[0]!r}")
     n_docs, n_terms, nnz = (int(x) for x in header)
     if len(text) - 1 != nnz:
-        raise ValueError(f"{prefix}.mat: expected {nnz} entries, found {len(text) - 1}")
+        raise ValueError(f"{mat}: expected {nnz} entries, found {len(text) - 1}")
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
@@ -290,19 +385,28 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
             i_s, j_s, v_s = line.split()
             rows[p], cols[p], vals[p] = int(i_s), int(j_s), float(v_s)
     except ValueError as exc:
-        raise ValueError(f"{prefix}.mat: malformed entry on line {p + 2}: {line!r} ({exc})") from exc
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise ValueError(f"{prefix}.mat: non-finite value on line {bad[0] + 2}")
-    if nnz:
-        if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
-            raise ValueError(f"{prefix}.mat: entry index out of range")
-        if len(set(zip(rows.tolist(), cols.tolist()))) != nnz:
-            raise ValueError(f"{prefix}.mat: duplicate (doc, term) entry")
-    matrix = sp.csr_array((vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64)
+        raise ValueError(f"{mat}: malformed entry on line {p + 2}: {line!r} ({exc})") from exc
+    return n_docs, n_terms, rows, cols, vals
+
+
+def _entries_to_csr(rows, cols, vals, shape: tuple[int, int], mat: Path) -> sp.csr_array:
+    """The CSR matrix of in-range entries; rejects a repeated (doc, term) pair.
+
+    Pairs are compared, never combined into one key, so no product can
+    overflow. Entries in strictly row-major order, as ``write_matrix``
+    writes them, cannot repeat and already are the CSR indices and data.
+    """
+    r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
+    row_major = bool(np.all((r0 < r1) | ((r0 == r1) & (c0 < c1))))
+    if not row_major:
+        order = np.lexsort((cols, rows))
+        r, c = rows[order], cols[order]
+        if np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
+            raise ValueError(f"{mat}: duplicate (doc, term) entry")
+    elif rows.size and max(shape) <= _INT64_MAX:  # else the constructor below raises
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return sp.csr_array((vals, cols, indptr), shape=shape)
+    matrix = sp.csr_array((vals, (rows, cols)), shape=shape, dtype=np.float64)
     matrix.sort_indices()
-    vocab = Path(str(prefix) + ".vocab").read_text(encoding="utf-8").splitlines()
-    doc_ids = Path(str(prefix) + ".docs").read_text(encoding="utf-8").splitlines()
-    tdm = TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
-    tdm.validate()
-    return tdm
+    return matrix

@@ -157,3 +157,58 @@ def sgem_run_recompute(init, matrix, delta: float | None = None, max_iter: int =
         if len(trace) >= 2 and trace[-1] - trace[-2] < delta:
             break
     return z, centroids, sigma2, trace
+
+
+def read_matrix_lines(prefix):
+    """``read_matrix`` as it was before the vectorised parse: one Python
+    ``split``/``int``/``float`` per line, and a set of every (doc, term)
+    pair for the duplicate check."""
+    from pathlib import Path
+
+    from textpart.corpus import TermDocMatrix
+
+    prefix = Path(prefix)
+    text = Path(str(prefix) + ".mat").read_text(encoding="utf-8").splitlines()
+    if not text:
+        raise ValueError(f"{prefix}.mat is empty")
+    header = text[0].split()
+    if len(header) != 3:
+        raise ValueError(f"{prefix}.mat: malformed header {text[0]!r}")
+    n_docs, n_terms, nnz = (int(x) for x in header)
+    if len(text) - 1 != nnz:
+        raise ValueError(f"{prefix}.mat: expected {nnz} entries, found {len(text) - 1}")
+    rows = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz, dtype=np.float64)
+    try:
+        for p, line in enumerate(text[1:]):
+            i_s, j_s, v_s = line.split()
+            rows[p], cols[p], vals[p] = int(i_s), int(j_s), float(v_s)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}.mat: malformed entry on line {p + 2}: {line!r} ({exc})") from exc
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"{prefix}.mat: non-finite value on line {bad[0] + 2}")
+    if nnz:
+        if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
+            raise ValueError(f"{prefix}.mat: entry index out of range")
+        if len(set(zip(rows.tolist(), cols.tolist()))) != nnz:
+            raise ValueError(f"{prefix}.mat: duplicate (doc, term) entry")
+    matrix = sp.csr_array((vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64)
+    matrix.sort_indices()
+    vocab = Path(str(prefix) + ".vocab").read_text(encoding="utf-8").splitlines()
+    doc_ids = Path(str(prefix) + ".docs").read_text(encoding="utf-8").splitlines()
+    tdm = TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
+    tdm.validate()
+    return tdm
+
+
+def mat_text_by_entry(m) -> str:
+    """``.mat`` text as ``write_matrix`` formatted it before, one entry at a
+    time through ``int``/``float`` of each stored index and value."""
+    x = m.matrix
+    lines = [f"{m.n_docs} {m.n_terms} {m.nnz}"]
+    for i in range(x.shape[0]):
+        for p in range(x.indptr[i], x.indptr[i + 1]):
+            lines.append(f"{i} {int(x.indices[p])} {float(x.data[p])!r}")
+    return "\n".join(lines) + "\n"

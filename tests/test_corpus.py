@@ -1,10 +1,21 @@
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from datagen import multinomial_corpus
+from textpart import corpus as corpus_mod
 from textpart.corpus import (
     EmptyCorpusError,
+    TermDocMatrix,
     build_matrix,
     read_matrix,
     tfidf_weight,
@@ -249,3 +260,226 @@ def _write_mat(tmp_path, body: str, n_docs: int = 3, n_terms: int = 2):
 def test_read_matrix_rejects_bad_entries(tmp_path, body, message):
     with pytest.raises(ValueError, match=message):
         read_matrix(_write_mat(tmp_path, body))
+
+
+# --- matrix file parsing against the line-by-line reader ---------------------
+
+def _outcome(read, prefix):
+    """What a matrix reader makes of a file: the exception type and message,
+    or the matrix bits (dtypes included), vocabulary and doc ids."""
+    try:
+        tdm = read(prefix)
+    except Exception as exc:  # every outcome is compared, errors included
+        return type(exc).__name__, str(exc)
+    m = tdm.matrix
+    return (m.shape, tdm.vocab, tdm.doc_ids,
+            *((a.dtype.str, a.tobytes()) for a in (m.indptr, m.indices, m.data)))
+
+
+def _write_raw(tmp_path, mat: bytes, n_docs: int = 3, n_terms: int = 2):
+    (tmp_path / "raw.mat").write_bytes(mat)
+    (tmp_path / "raw.vocab").write_text("".join(f"w{j}\n" for j in range(n_terms)), encoding="utf-8")
+    (tmp_path / "raw.docs").write_text("".join(f"d{i}\n" for i in range(n_docs)), encoding="utf-8")
+    return tmp_path / "raw"
+
+
+def _assert_same_as_line_reader(prefix):
+    expected = _outcome(oracles.read_matrix_lines, prefix)
+    assert _outcome(read_matrix, prefix) == expected
+    return expected
+
+
+def _corpus(name):
+    if name == "c9-shape":
+        return multinomial_corpus(1)[0]
+    if name == "nnz-0":
+        return TermDocMatrix(sp.csr_array((3, 2)), ("a", "b"), ("x", "y", "z"))
+    tdm, _ = multinomial_corpus(0, n_docs=600, vocab_size=200)
+    if name == "tfidf":
+        return tfidf_weight(tdm)[0]
+    rows = tdm.matrix.toarray()
+    rows[[0, 17, 599]] = 0.0  # empty rows, first and last included
+    return TermDocMatrix(sp.csr_array(rows), tdm.vocab, tdm.doc_ids)
+
+
+@pytest.mark.parametrize("name", ["c9-shape", "empty-rows", "tfidf", "nnz-0"])
+def test_read_matrix_matches_line_reader_on_corpora(tmp_path, name):
+    tdm = _corpus(name)
+    write_matrix(tdm, tmp_path / "m")
+    shape, vocab, doc_ids, *arrays = _assert_same_as_line_reader(tmp_path / "m")
+    assert (shape, vocab, doc_ids) == (tdm.matrix.shape, tdm.vocab, tdm.doc_ids)
+    assert [np.frombuffer(b, dtype=d).tolist() for d, b in arrays] == [
+        tdm.matrix.indptr.tolist(), tdm.matrix.indices.tolist(), tdm.matrix.data.tolist()]
+
+
+def test_read_matrix_parses_written_files_without_the_line_reader(tmp_path, monkeypatch):
+    tdm, _ = multinomial_corpus(2)
+    write_matrix(tdm, tmp_path / "m")
+    monkeypatch.setattr(corpus_mod, "_read_entries_by_line", None)
+    assert np.array_equal(read_matrix(tmp_path / "m").matrix.toarray(), tdm.matrix.toarray())
+
+
+_MAT_CASES = {
+    "plain": b"3 2 2\n0 0 1.0\n1 1 2.0\n",
+    "blank-line-mid-body": b"3 2 2\n0 0 1.0\n\n1 1 2.0\n",
+    "blank-line-counted": b"3 2 3\n0 0 1.0\n\n1 1 2.0\n",
+    "whitespace-only-line": b"3 2 2\n0 0 1.0\n \t \n",
+    "trailing-blank-lines": b"3 2 1\n0 0 1.0\n\n\n",
+    "crlf": b"3 2 2\r\n0 0 1.0\r\n1 1 2.0\r\n",
+    "lone-cr": b"3 2 2\r0 0 1.0\r1 1 2.0\r",
+    "lone-cr-in-line": b"3 2 2\n0 0\r1.0\n1 1 2.0\n",
+    "form-feed-in-line": b"3 2 2\n0 0\x0c1.0\n1 1 2.0\n",
+    "form-feed-counted": b"3 2 3\n0 0\x0c1.0\n1 1 2.0\n",
+    "form-feed-at-end": b"3 2 1\n0 0 1.0\x0c",
+    "form-feed-in-header": b"3 2 1\x0c\n0 0 1.0\n",
+    "next-line-char": "3 2 2\n0 0 1.0\x85\n1 1 2.0\n".encode(),
+    "line-separator": "3 2 2\n0 0\u20281.0\n1 1 2.0\n".encode(),
+    "group-separator": b"3 2 2\n0 0\x1d1.0\n1 1 2.0\n",
+    "no-final-newline": b"3 2 2\n0 0 1.0\n1 1 2.0",
+    "tabs-and-trailing-spaces": b"3 2 2\n0\t0 \t1.0  \n 1  1 2.0\t\n",
+    "plus-index": b"3 2 1\n+1 0 1.0\n",
+    "float-index-1e0": b"3 2 1\n1e0 0 1.0\n",
+    "underscore-index": b"3 2 1\n0_1 0 1.0\n",
+    "underscore-value": b"3 2 1\n0 0 1_0.5\n",
+    "non-ascii-digit-index": "3 2 1\n\u0661 0 1.0\n".encode(),
+    "nan-value": b"3 2 2\n0 0 1.0\n1 1 nan\n",
+    "inf-value": b"3 2 2\n0 0 inf\n1 1 2.0\n",
+    "infinity-value": b"3 2 2\n0 0 1.0\n1 1 -Infinity\n",
+    "explicit-zero": b"3 2 2\n0 0 0.0\n1 1 2.0\n",
+    "negative-zero": b"3 2 1\n0 0 -0.0\n",
+    "negative-value": b"3 2 1\n0 0 -1.0\n",
+    "17-digit-value": b"3 2 2\n0 0 0.30000000000000004\n1 1 5e-324\n",
+    "hash-field": b"3 2 1\n0 0 #\n",
+    "hash-fourth-field": b"3 2 1\n0 0 1.0 # note\n",
+    "four-fields": b"3 2 1\n0 0 1.0 2.0\n",
+    "two-fields": b"3 2 2\n0 0 1.0\n1 1\n",
+    "nul-in-value": b"3 2 1\n0 0 1\x00\n",
+    "index-beyond-int64": b"3 2 1\n99999999999999999999 0 1.0\n",
+    "index-int64-min": b"3 2 1\n-9223372036854775808 0 1.0\n",
+    "n-terms-beyond-int64": b"3 99999999999999999999 1\n0 0 1.0\n",
+    "n-terms-beyond-int64-duplicate": b"3 99999999999999999999 2\n0 0 1.0\n0 0 2.0\n",
+    "unsorted-rows": b"3 2 3\n2 1 1.0\n0 0 2.0\n1 1 3.0\n",
+    "unsorted-columns": b"3 2 2\n0 1 1.0\n0 0 2.0\n",
+    "duplicate-adjacent": b"3 2 2\n0 0 1.0\n0 0 2.0\n",
+    "duplicate-unsorted": b"3 2 3\n1 1 1.0\n0 0 2.0\n1 1 3.0\n",
+    "out-of-range-row": b"3 2 1\n3 0 1.0\n",
+    "negative-column": b"3 2 1\n0 -1 1.0\n",
+    "empty-file": b"",
+    "newline-only": b"\n",
+    "header-two-fields": b"3 2\n",
+    "header-not-integers": b"a b c\n",
+    "header-bom": b"\xef\xbb\xbf3 2 1\n0 0 1.0\n",
+    "nnz-0": b"3 2 0\n",
+    "nnz-0-negative-dims": b"-1 2 0\n",
+    "nnz-negative": b"3 2 -1\n",
+    "nnz-beyond-file-size": b"3 2 1000\n0 0 1.0\n",
+    "too-many-lines": b"3 2 1\n0 0 1.0\n1 1 2.0\n",
+    "invalid-utf8": b"3 2 1\n0 0 1.0\xff\n",
+}
+
+
+@pytest.mark.parametrize("mat", list(_MAT_CASES.values()), ids=list(_MAT_CASES))
+def test_read_matrix_matches_line_reader_on_edge_cases(tmp_path, mat):
+    _assert_same_as_line_reader(_write_raw(tmp_path, mat))
+
+
+_SEPARATORS = [chr(c) for c in range(0x3001) if chr(c).isspace()] + ["\u200b", "\u180e", "\x00", ","]
+
+
+@pytest.mark.parametrize("sep", _SEPARATORS, ids=[f"U+{ord(s):04X}" for s in _SEPARATORS])
+def test_read_matrix_splits_fields_like_str_split(tmp_path, sep):
+    mat = f"3 2 2\n0{sep}0 1.0\n1 1{sep}2.0\n".encode()
+    _assert_same_as_line_reader(_write_raw(tmp_path, mat))
+
+
+@pytest.mark.parametrize("line, defect, message", [
+    (4001, None, "malformed entry on line 4001: ''"),
+    (2500, b" x", "malformed entry on line 2500: '2498 6 1.5 x'"),
+    (3999, b"\x0c", "expected 4000 entries, found 4001"),
+])
+def test_read_matrix_matches_line_reader_past_the_first_chunk(tmp_path, line, defect, message):
+    body = [b"%d %d 1.5" % (i, i % 7) for i in range(4000)]
+    body[line - 2] = b"" if defect is None else body[line - 2] + defect
+    mat = b"4000 7 4000\n" + b"\n".join(body) + b"\n"
+    _, text = _assert_same_as_line_reader(_write_raw(tmp_path, mat, n_docs=4000, n_terms=7))
+    assert message in text
+
+
+def test_read_matrix_peak_memory_stays_near_file_size(tmp_path):
+    tdm, _ = multinomial_corpus(0, n_docs=4000, vocab_size=1000)
+    write_matrix(tdm, tmp_path / "m")
+    size = (tmp_path / "m.mat").stat().st_size
+    assert 90_000 <= tdm.nnz <= 110_000
+    tracemalloc.start()
+    try:
+        read_matrix(tmp_path / "m")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * size, f"peak {peak / size:.1f}x the {size}-byte file"
+
+
+# --- property tests ----------------------------------------------------------
+
+_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308, allow_subnormal=True),
+    st.sampled_from([0.1 + 0.2, 1 / 3, 2 ** -1074, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _term_doc_matrices(draw):
+    n_docs = draw(st.integers(0, 12))
+    n_terms = draw(st.integers(1, 9))
+    cells = draw(st.lists(st.booleans(), min_size=n_docs * n_terms, max_size=n_docs * n_terms))
+    rows, cols = np.divmod(np.flatnonzero(np.array(cells, dtype=bool)), n_terms)
+    vals = draw(st.lists(_VALUES, min_size=rows.size, max_size=rows.size))
+    matrix = sp.csr_array((np.array(vals, dtype=np.float64), (rows, cols)), shape=(n_docs, n_terms))
+    vocab = tuple(f"t{j}" for j in range(n_terms))
+    return TermDocMatrix(matrix, vocab, tuple(f"doc {i}.txt" for i in range(n_docs)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tdm=_term_doc_matrices())
+def test_write_read_matrix_round_trips_bitwise(tmp_path, tdm):
+    prefix = Path(tempfile.mkdtemp(dir=tmp_path)) / "m"
+    write_matrix(tdm, prefix)
+    assert Path(f"{prefix}.mat").read_text(encoding="utf-8") == oracles.mat_text_by_entry(tdm)
+    back = read_matrix(prefix)
+    assert (back.vocab, back.doc_ids, back.matrix.shape) == (tdm.vocab, tdm.doc_ids, tdm.matrix.shape)
+    assert np.array_equal(back.matrix.indptr, tdm.matrix.indptr)
+    assert np.array_equal(back.matrix.indices, tdm.matrix.indices)
+    assert back.matrix.data.tobytes() == tdm.matrix.data.tobytes()
+    _assert_same_as_line_reader(prefix)
+
+
+# Mostly well-formed entries, with now and then a token, separator or line
+# end that one of the two readers might treat differently.
+_INDICES = st.sampled_from(["0", "1", "2"] * 6 + ["+1", "-1", "00", "0_1", "1e0", "1.0", "\u0661",
+                                                   "99999999999999999999"])
+_VALUES_TEXT = st.sampled_from(["1.0", "2.5", "0.1", "3"] * 4 + ["0.0", "-0.0", "5e-324", "1_0.5",
+                                                                  "nan", "inf", "#", "x", "\u0661"])
+_GAPS = st.sampled_from([" "] * 12 + ["  ", "\t", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000"])
+_ENDS = st.sampled_from(["\n"] * 12 + ["\r\n", "\r", "\x0b", "\n\n", " \n"])
+
+
+@st.composite
+def _mat_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [draw(_INDICES), draw(_INDICES), draw(_VALUES_TEXT)]
+        fields = draw(st.sampled_from([fields] * 8 + [fields[:2], fields + ["1"], []]))
+        lines.append(draw(_GAPS).join(fields) + draw(_ENDS))
+    body = "".join(lines)
+    if draw(st.booleans()):
+        body = body.rstrip("\n")
+    nnz = len(body.splitlines()) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    return f"3 3 {nnz}\n" + body
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_mat_texts(), chunk=st.sampled_from([1, 7, 1 << 13]))
+def test_read_matrix_matches_line_reader_on_random_text(tmp_path, text, chunk):
+    prefix = _write_raw(Path(tempfile.mkdtemp(dir=tmp_path)), text.encode("utf-8"), n_docs=3, n_terms=3)
+    with mock.patch.object(corpus_mod, "_CHUNK_CHARS", chunk):
+        _assert_same_as_line_reader(prefix)

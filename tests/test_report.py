@@ -1,6 +1,11 @@
-import pytest
+import tempfile
+from pathlib import Path
 
-from textpart.report import RunReport, TreeRecord, read_report, write_report
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from textpart.report import RunReport, TreeRecord, format_report, read_report, write_report
 
 
 def _sample_report():
@@ -94,3 +99,42 @@ def test_doc_ids_with_spaces_round_trip(tmp_path):
     path = tmp_path / "s.report"
     write_report(rep, path)
     assert read_report(path).assignments == rep.assignments
+
+
+# Report text holds one field per line, so strings may not contain a line
+# break (control characters, U+2028, U+2029) or a surrogate.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12)
+_FLOATS = st.floats(allow_nan=False)
+
+
+@st.composite
+def _reports(draw):
+    assignments = draw(st.lists(st.tuples(_TEXT, st.integers(-3, 40)), max_size=15))
+    tree = None
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8, unique=True))
+        tree = [TreeRecord(node_id, draw(st.none() | st.integers(0, 10 ** 6)), draw(st.integers(0, 50)),
+                           draw(st.integers(0, 10 ** 6)), draw(_FLOATS),
+                           draw(st.none() | st.lists(st.integers(-5, 10 ** 6), max_size=6)))
+                for node_id in ids]
+    return RunReport(
+        algorithm=draw(_TEXT),
+        seed=draw(st.integers()),
+        params=draw(st.lists(st.tuples(_TEXT.filter(lambda t: " " not in t), _TEXT), max_size=5)),
+        k_found=len({c for _, c in assignments}),
+        time_seconds=draw(_FLOATS),
+        tree=tree,
+        assignments=assignments,
+        nmi=draw(st.none() | st.integers(0, 10 ** 4).map(lambda n: n / 10 ** 4)),
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(report=_reports())
+def test_format_read_report_round_trips_losslessly(tmp_path, report):
+    text = format_report(report)
+    path = Path(tempfile.mkdtemp(dir=tmp_path)) / "r.report"
+    path.write_text(text, encoding="utf-8")
+    back = read_report(path)
+    assert back == report
+    assert format_report(back) == text
