@@ -146,7 +146,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         texts, doc_ids = read_corpus_dir(path)
     else:
         texts, doc_ids = read_corpus_lines(path)
-    docs = [tokenize(t, stop_words) for t in texts]
+    # A generator: build_matrix keeps term ids, so only one document's
+    # tokens are alive at a time.
+    docs = (tokenize(t, stop_words) for t in texts)
     tdm, dropped = build_matrix(docs, min_count=args.min_count, doc_ids=doc_ids)
     for d in dropped:
         print(f"dropped empty document: {d}", file=sys.stderr)

@@ -24,8 +24,8 @@ from __future__ import annotations
 import os
 import re
 import warnings
-from collections import Counter
-from collections.abc import Sequence
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,56 +122,68 @@ def tokenize(raw_text: str, stop_words: frozenset[str] | set[str] = frozenset())
 
 
 def build_matrix(
-    docs: Sequence[Sequence[str]],
+    docs: Iterable[Iterable[str]],
     min_count: int = 2,
     doc_ids: Sequence[str] | None = None,
 ) -> tuple[TermDocMatrix, list[str]]:
     """Count terms and prune the vocabulary by total corpus frequency.
 
-    Terms whose corpus-wide count is below ``min_count`` are removed; the
-    surviving vocabulary is sorted lexicographically so term indices are
-    stable across runs. Documents left with no terms are dropped; their ids
-    are returned as the second element.
+    ``docs`` is read once, so it may be a generator (one document's tokens
+    alive at a time): each token is replaced by an integer id as it is read,
+    and only the ids are kept. Terms whose corpus-wide count is below
+    ``min_count`` are removed; the surviving vocabulary is sorted
+    lexicographically so term indices are stable across runs. Documents left
+    with no terms are dropped; their ids are returned as the second element.
 
     Raises ``EmptyCorpusError`` if pruning eliminates every document.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
+    term_ids: dict[str, int] = {}
+    intern = term_ids.setdefault
+    tokens = array("i")  # every document's term ids, one document after another
+    lengths = array("q")  # tokens per document
+    for doc in docs:
+        start = len(tokens)
+        tokens.extend([intern(t, len(term_ids)) for t in doc])
+        lengths.append(len(tokens) - start)
+    n_docs = len(lengths)
     if doc_ids is None:
-        doc_ids = [str(i) for i in range(len(docs))]
-    if len(doc_ids) != len(docs):
+        doc_ids = [str(i) for i in range(n_docs)]
+    if len(doc_ids) != n_docs:
         raise ValueError("doc_ids length does not match docs")
 
-    totals: Counter[str] = Counter()
-    for doc in docs:
-        totals.update(doc)
-    vocab = sorted(t for t, c in totals.items() if c >= min_count)
-    index = {t: i for i, t in enumerate(vocab)}
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    kept_ids: list[str] = []
-    dropped: list[str] = []
-    for doc, doc_id in zip(docs, doc_ids):
-        counts = Counter(t for t in doc if t in index)
-        if not counts:
-            dropped.append(doc_id)
-            continue
-        i = len(kept_ids)
-        kept_ids.append(doc_id)
-        for term, c in sorted(counts.items()):
-            rows.append(i)
-            cols.append(index[term])
-            vals.append(float(c))
-    if not kept_ids:
+    ids = np.frombuffer(tokens, dtype=np.intc)
+    totals = np.bincount(ids, minlength=len(term_ids)).tolist()
+    vocab = sorted(t for t, c in zip(term_ids, totals) if c >= min_count)
+    n_terms = len(vocab)
+    rank = np.full(len(term_ids), -1, dtype=np.intc)  # term id -> vocab index; -1 if pruned
+    rank[[term_ids[t] for t in vocab]] = np.arange(n_terms)
+    cols = rank[ids]
+    del ids, tokens  # each per-token array is freed once used, to keep the peak low
+    kept = cols >= 0
+    # One row-major (doc, term) key per surviving token; sorted, the repeats
+    # of an entry are adjacent, and each run's length is the entry's count.
+    keys = np.repeat(np.arange(n_docs, dtype=np.int64) * n_terms, np.frombuffer(lengths, np.int64))[kept]
+    keys += cols[kept]
+    del cols, kept
+    keys.sort()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    data = np.diff(starts, append=keys.size).astype(np.float64)
+    keys = keys[starts]
+    del starts
+    # Row ends of every document; a document with an empty row is dropped.
+    ends = np.searchsorted(keys, np.arange(1, n_docs + 1, dtype=np.int64) * n_terms)
+    nonempty = np.diff(ends, prepend=0) > 0
+    if not nonempty.any():
         raise EmptyCorpusError("empty corpus after pruning")
 
-    matrix = sp.csr_array(
-        (vals, (rows, cols)), shape=(len(kept_ids), len(vocab)), dtype=np.float64
-    )
-    matrix.sort_indices()
-    return TermDocMatrix(matrix, tuple(vocab), tuple(kept_ids)), dropped
+    indptr = np.concatenate((np.zeros(1, np.int64), ends[nonempty]))
+    indices = np.remainder(keys, n_terms, out=keys)
+    matrix = sp.csr_array((data, indices, indptr), shape=(indptr.size - 1, n_terms))
+    kept_ids = tuple(doc_ids[i] for i in np.flatnonzero(nonempty).tolist())
+    dropped = [doc_ids[i] for i in np.flatnonzero(~nonempty).tolist()]
+    return TermDocMatrix(matrix, tuple(vocab), kept_ids), dropped
 
 
 def tfidf_weight(m: TermDocMatrix) -> tuple[TermDocMatrix, list[str]]:
@@ -287,7 +299,9 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     ``np.loadtxt`` parses the entries (``_read_entries``). A file it might
     read differently from the line-by-line reader goes to that reader
     (``_read_entries_by_line``), which names the line of a malformed entry,
-    so both accept the same files and return the same matrix.
+    so both accept the same files and return the same matrix. A malformed
+    header or entry, and a header shape other than the ``.docs``/``.vocab``
+    lengths, raise a ``ValueError`` that names the ``.mat`` file.
     """
     prefix = Path(prefix)
     mat = Path(f"{prefix}.mat")
@@ -298,9 +312,13 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     if vals.size:
         if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
             raise ValueError(f"{mat}: entry index out of range")
-    matrix = _entries_to_csr(rows, cols, vals, (n_docs, n_terms), mat)
     vocab = Path(str(prefix) + ".vocab").read_text(encoding="utf-8").splitlines()
     doc_ids = Path(str(prefix) + ".docs").read_text(encoding="utf-8").splitlines()
+    # Checked before the CSR index array of n_docs + 1 entries is allocated.
+    if (n_docs, n_terms) != (len(doc_ids), len(vocab)):
+        raise ValueError(f"{mat}: header shape {n_docs} x {n_terms} disagrees with "
+                         f"{len(doc_ids)} doc ids and {len(vocab)} terms")
+    matrix = _entries_to_csr(rows, cols, vals, (n_docs, n_terms), mat)
     tdm = TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
     tdm.validate()
     return tdm
@@ -316,6 +334,18 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _Entries = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
+def _header(line: str, mat: Path) -> tuple[int, int, int]:
+    """``n_docs n_terms nnz`` from the first line of a ``.mat`` file."""
+    try:
+        counts = tuple(int(x) for x in line.split())
+    except ValueError:
+        counts = ()
+    if len(counts) != 3 or not all(0 <= c <= _INT64_MAX for c in counts):
+        raise ValueError(f"{mat}: malformed header on line 1: {line!r} "
+                         f"(expected n_docs n_terms nnz, integers in 0..{_INT64_MAX})")
+    return counts
+
+
 def _read_entries(mat: Path) -> _Entries | None:
     """Header and entry arrays of a ``.mat`` file, parsed by ``np.loadtxt``.
 
@@ -324,11 +354,11 @@ def _read_entries(mat: Path) -> _Entries | None:
     ``_read_entries_by_line`` splits the whole text into. ``np.loadtxt``
     splits fields at the same whitespace as ``str.split``, and every number
     it parses, ``int`` and ``float`` parse to the same value. Returns None
-    where the two could still disagree: a header that is not three integers
-    on one line, a blank line (``np.loadtxt`` skips it), a field
+    where the two could still disagree: a header ``_header`` rejects or one
+    not on one line, a blank line (``np.loadtxt`` skips it), a field
     ``np.loadtxt`` rejects (``1_0`` or a non-ASCII digit, which ``int``
-    accepts), any warning it gives, or an entry count other than the
-    header's.
+    accepts, or an index beyond int64), any warning it gives, or an entry
+    count other than the header's.
     """
     with open(mat, encoding="utf-8") as fh:
         try:
@@ -337,10 +367,9 @@ def _read_entries(mat: Path) -> _Entries | None:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 header = fh.readline().splitlines()
-                fields = header[0].split() if len(header) == 1 else ()
-                if len(fields) != 3:
+                if len(header) != 1:
                     return None
-                n_docs, n_terms, nnz = (int(x) for x in fields)
+                n_docs, n_terms, nnz = _header(header[0], mat)
                 # Bounds the arrays below: a file of N bytes holds at most N lines.
                 if not 0 <= nnz <= os.fstat(fh.fileno()).st_size:
                     return None
@@ -371,10 +400,7 @@ def _read_entries_by_line(mat: Path) -> _Entries:
     text = mat.read_text(encoding="utf-8").splitlines()
     if not text:
         raise ValueError(f"{mat} is empty")
-    header = text[0].split()
-    if len(header) != 3:
-        raise ValueError(f"{mat}: malformed header {text[0]!r}")
-    n_docs, n_terms, nnz = (int(x) for x in header)
+    n_docs, n_terms, nnz = _header(text[0], mat)
     if len(text) - 1 != nnz:
         raise ValueError(f"{mat}: expected {nnz} entries, found {len(text) - 1}")
     rows = np.empty(nnz, dtype=np.int64)
@@ -384,7 +410,7 @@ def _read_entries_by_line(mat: Path) -> _Entries:
         for p, line in enumerate(text[1:]):
             i_s, j_s, v_s = line.split()
             rows[p], cols[p], vals[p] = int(i_s), int(j_s), float(v_s)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an index beyond int64
         raise ValueError(f"{mat}: malformed entry on line {p + 2}: {line!r} ({exc})") from exc
     return n_docs, n_terms, rows, cols, vals
 
@@ -403,7 +429,7 @@ def _entries_to_csr(rows, cols, vals, shape: tuple[int, int], mat: Path) -> sp.c
         r, c = rows[order], cols[order]
         if np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
             raise ValueError(f"{mat}: duplicate (doc, term) entry")
-    elif rows.size and max(shape) <= _INT64_MAX:  # else the constructor below raises
+    elif rows.size:
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
         return sp.csr_array((vals, cols, indptr), shape=shape)

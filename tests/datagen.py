@@ -57,6 +57,27 @@ def multinomial_corpus(
     return TermDocMatrix(sp.csr_array(rows), vocab, doc_ids), labels
 
 
+def corpus_texts(tdm: TermDocMatrix) -> list[str]:
+    """One text per row of a count matrix: each term repeated by its count.
+
+    Terms become letter-only names of equal length (``tokenize`` splits at
+    digits), which sort in index order, so ``build_matrix`` of the
+    tokenized texts rebuilds the matrix when every term occurs at least
+    ``min_count`` times and no row is empty.
+    """
+    width = 1
+    while 26 ** width < tdm.n_terms:
+        width += 1
+    names = ["".join(chr(97 + j // 26 ** p % 26) for p in reversed(range(width)))
+             for j in range(tdm.n_terms)]
+    m = tdm.matrix
+    return [
+        " ".join(names[j] for j, c in zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
+                 for _ in range(int(c)))
+        for lo, hi in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist())
+    ]
+
+
 def random_joint(n: int, m: int, seed: int, alpha: float = 0.5) -> JointDistribution:
     """Uniform document prior with Dirichlet word conditionals."""
     rng = np.random.default_rng(seed)

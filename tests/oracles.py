@@ -162,7 +162,13 @@ def sgem_run_recompute(init, matrix, delta: float | None = None, max_iter: int =
 def read_matrix_lines(prefix):
     """``read_matrix`` as it was before the vectorised parse: one Python
     ``split``/``int``/``float`` per line, and a set of every (doc, term)
-    pair for the duplicate check."""
+    pair for the duplicate check.
+
+    Since then every header fault (a field that is not an integer in
+    0..2**63 - 1, or a shape other than the ``.docs``/``.vocab`` lengths)
+    and an entry index beyond int64 raise a ``ValueError`` naming the file;
+    they used to escape as an unnamed ``ValueError``, an ``OverflowError``
+    or a ``MemoryError``."""
     from pathlib import Path
 
     from textpart.corpus import TermDocMatrix
@@ -171,10 +177,14 @@ def read_matrix_lines(prefix):
     text = Path(str(prefix) + ".mat").read_text(encoding="utf-8").splitlines()
     if not text:
         raise ValueError(f"{prefix}.mat is empty")
-    header = text[0].split()
-    if len(header) != 3:
-        raise ValueError(f"{prefix}.mat: malformed header {text[0]!r}")
-    n_docs, n_terms, nnz = (int(x) for x in header)
+    try:
+        header = [int(x) for x in text[0].split()]
+    except ValueError:
+        header = []
+    if len(header) != 3 or not all(0 <= x < 2 ** 63 for x in header):
+        raise ValueError(f"{prefix}.mat: malformed header on line 1: {text[0]!r} "
+                         f"(expected n_docs n_terms nnz, integers in 0..{2 ** 63 - 1})")
+    n_docs, n_terms, nnz = header
     if len(text) - 1 != nnz:
         raise ValueError(f"{prefix}.mat: expected {nnz} entries, found {len(text) - 1}")
     rows = np.empty(nnz, dtype=np.int64)
@@ -184,7 +194,7 @@ def read_matrix_lines(prefix):
         for p, line in enumerate(text[1:]):
             i_s, j_s, v_s = line.split()
             rows[p], cols[p], vals[p] = int(i_s), int(j_s), float(v_s)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{prefix}.mat: malformed entry on line {p + 2}: {line!r} ({exc})") from exc
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
@@ -192,12 +202,15 @@ def read_matrix_lines(prefix):
     if nnz:
         if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
             raise ValueError(f"{prefix}.mat: entry index out of range")
-        if len(set(zip(rows.tolist(), cols.tolist()))) != nnz:
-            raise ValueError(f"{prefix}.mat: duplicate (doc, term) entry")
-    matrix = sp.csr_array((vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64)
-    matrix.sort_indices()
     vocab = Path(str(prefix) + ".vocab").read_text(encoding="utf-8").splitlines()
     doc_ids = Path(str(prefix) + ".docs").read_text(encoding="utf-8").splitlines()
+    if n_docs != len(doc_ids) or n_terms != len(vocab):
+        raise ValueError(f"{prefix}.mat: header shape {n_docs} x {n_terms} disagrees with "
+                         f"{len(doc_ids)} doc ids and {len(vocab)} terms")
+    if nnz and len(set(zip(rows.tolist(), cols.tolist()))) != nnz:
+        raise ValueError(f"{prefix}.mat: duplicate (doc, term) entry")
+    matrix = sp.csr_array((vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64)
+    matrix.sort_indices()
     tdm = TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
     tdm.validate()
     return tdm
@@ -212,3 +225,49 @@ def mat_text_by_entry(m) -> str:
         for p in range(x.indptr[i], x.indptr[i + 1]):
             lines.append(f"{i} {int(x.indices[p])} {float(x.data[p])!r}")
     return "\n".join(lines) + "\n"
+
+
+def build_matrix_lists(docs, min_count: int = 2, doc_ids=None):
+    """``build_matrix`` as it was before token interning: a ``Counter`` of
+    term strings per document and three per-entry Python lists."""
+    from collections import Counter
+
+    from textpart.corpus import EmptyCorpusError, TermDocMatrix
+
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    if doc_ids is None:
+        doc_ids = [str(i) for i in range(len(docs))]
+    if len(doc_ids) != len(docs):
+        raise ValueError("doc_ids length does not match docs")
+
+    totals: Counter[str] = Counter()
+    for doc in docs:
+        totals.update(doc)
+    vocab = sorted(t for t, c in totals.items() if c >= min_count)
+    index = {t: i for i, t in enumerate(vocab)}
+
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    kept_ids: list[str] = []
+    dropped: list[str] = []
+    for doc, doc_id in zip(docs, doc_ids):
+        counts = Counter(t for t in doc if t in index)
+        if not counts:
+            dropped.append(doc_id)
+            continue
+        i = len(kept_ids)
+        kept_ids.append(doc_id)
+        for term, c in sorted(counts.items()):
+            rows.append(i)
+            cols.append(index[term])
+            vals.append(float(c))
+    if not kept_ids:
+        raise EmptyCorpusError("empty corpus after pruning")
+
+    matrix = sp.csr_array(
+        (vals, (rows, cols)), shape=(len(kept_ids), len(vocab)), dtype=np.float64
+    )
+    matrix.sort_indices()
+    return TermDocMatrix(matrix, tuple(vocab), tuple(kept_ids)), dropped

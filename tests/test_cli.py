@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from datagen import dense_matrix, five_clusters, near_tied_cloud
+import oracles
+from datagen import corpus_texts, dense_matrix, five_clusters, multinomial_corpus, near_tied_cloud
 import textpart
 from textpart import linalg
 from textpart.cli import main
-from textpart.corpus import write_matrix
+from textpart.corpus import read_corpus_dir, read_corpus_lines, read_stop_words, tokenize, write_matrix
 from textpart.report import read_report
 
 DOC_A = "the quick brown fox jumps over the lazy dog the fox"
@@ -72,6 +73,37 @@ def test_ingest_line_file_reports_dropped(tmp_path, capsys):
     assert captured.err.count("dropped empty document") == 5
     docs = (tmp_path / "lf.docs").read_text().splitlines()
     assert "1" not in docs and "2" in docs  # 1-based line numbers, line 1 blank
+
+
+@pytest.mark.parametrize("layout", ["directory", "lines"])
+def test_ingest_writes_what_the_list_oracle_writes(tmp_path, capsys, layout):
+    stop_words = None
+    if layout == "directory":
+        src = _make_corpus_dir(tmp_path)
+        (src / "d.txt").write_text("The while, and a: THE", encoding="utf-8")
+        (src / "e.txt").write_text("Ärger über Öl; über ärger, ÖL fox", encoding="utf-8")
+        stop_words = tmp_path / "stop.txt"
+        stop_words.write_text("the\na\nand\nwhile\n", encoding="utf-8")
+        texts, doc_ids = read_corpus_dir(src)
+    else:
+        lines = corpus_texts(multinomial_corpus(0, n_docs=300, vocab_size=80)[0])
+        lines[0] = lines[150] = ""
+        lines[7] = "hapax legomenon"
+        src = tmp_path / "docs.txt"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        texts, doc_ids = read_corpus_lines(src)
+    stop = read_stop_words(stop_words) if stop_words else frozenset()
+    expected, dropped = oracles.build_matrix_lists([tokenize(t, stop) for t in texts], doc_ids=doc_ids)
+    assert len(dropped) >= 1
+    write_matrix(expected, tmp_path / "oracle")
+    capsys.readouterr()
+    argv = ["ingest", str(src), "--output", str(tmp_path / "out")]
+    assert main(argv + (["--stop-words", str(stop_words)] if stop_words else [])) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{expected.n_docs} {expected.n_terms} {expected.nnz}\n"
+    assert captured.err == "".join(f"dropped empty document: {d}\n" for d in dropped)
+    for ext in (".mat", ".vocab", ".docs"):
+        assert (tmp_path / f"out{ext}").read_bytes() == (tmp_path / f"oracle{ext}").read_bytes()
 
 
 def test_ingest_missing_input(tmp_path, capsys):
@@ -284,6 +316,25 @@ def test_cluster_malformed_matrix_line_exits_1(tmp_path, capsys):
     assert err.startswith("textpart: error: ") and "bad.mat" in err and "line 3" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mat, where", [
+    ("a 2 1\n0 0 1.0\n", "malformed header on line 1: 'a 2 1'"),
+    ("-1 2 0\n", "malformed header on line 1: '-1 2 0'"),
+    ("3 99999999999999999999 1\n0 0 1.0\n", "malformed header on line 1"),
+    ("3 2 1\n99999999999999999999 0 1.0\n", "malformed entry on line 2"),
+    ("100000000000 2 0\n", "header shape 100000000000 x 2 disagrees with 3 doc ids and 2 terms"),
+], ids=["header-not-integer", "header-negative", "header-beyond-int64", "index-beyond-int64",
+        "header-beyond-docs-file"])
+def test_cluster_matrix_file_faults_exit_1(tmp_path, capsys, mat, where):
+    prefix = tmp_path / "bad"
+    (tmp_path / "bad.mat").write_text(mat, encoding="utf-8")
+    (tmp_path / "bad.vocab").write_text("a\nb\n", encoding="utf-8")
+    (tmp_path / "bad.docs").write_text("x\ny\nz\n", encoding="utf-8")
+    assert main(["cluster", str(prefix), "--algo", "pddp", "--stop", "fixed", "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"textpart: error: {tmp_path / 'bad.mat'}: {where}")
+    assert "Traceback" not in err
 
 
 def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):

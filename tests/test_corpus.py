@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from datagen import multinomial_corpus
+from datagen import corpus_texts, multinomial_corpus
 from textpart import corpus as corpus_mod
 from textpart.corpus import (
     EmptyCorpusError,
@@ -78,6 +78,89 @@ def test_build_matrix_reports_dropped_docs():
 def test_build_matrix_counts_are_term_frequencies():
     tdm, _ = build_matrix([["a", "a", "b", "a"]], min_count=1)
     assert tdm.matrix.toarray().tolist() == [[3.0, 1.0]]
+
+
+def _build_outcome(build, docs, min_count, doc_ids):
+    """What a matrix builder makes of a corpus: the exception type and
+    message, or the matrix bits (dtypes included), vocabulary, doc ids,
+    dropped ids and the bytes ``write_matrix`` writes."""
+    try:
+        tdm, dropped = build(docs, min_count=min_count, doc_ids=doc_ids)
+    except Exception as exc:  # every outcome is compared, errors included
+        return type(exc).__name__, str(exc)
+    m = tdm.matrix
+    with tempfile.TemporaryDirectory() as tmp:
+        write_matrix(tdm, Path(tmp) / "m")
+        files = [(Path(tmp) / f"m{ext}").read_bytes() for ext in (".mat", ".vocab", ".docs")]
+    return (m.shape, tdm.vocab, tdm.doc_ids, dropped, files,
+            *((a.dtype.str, a.tobytes()) for a in (m.indptr, m.indices, m.data)))
+
+
+def test_build_matrix_reads_one_shot_generators():
+    docs = [["b", "a", "b"], [], ["c", "a"], ["c"]]
+    once = (iter(doc) for doc in docs)
+    assert _build_outcome(build_matrix, once, 2, None) == _build_outcome(oracles.build_matrix_lists, docs, 2, None)
+    assert next(once, None) is None
+
+
+@pytest.mark.parametrize("docs, min_count, doc_ids, error", [
+    ([["a"]], 0, None, "ValueError"),
+    ([["a"], ["a"]], 1, ["x"], "ValueError"),
+    ([["a"]], 1, ["x", "y"], "ValueError"),
+    ([["b"], ["c"]], 2, ["x"], "ValueError"),
+    ([["a"], ["b"]], 2, None, "EmptyCorpusError"),
+    ([["a", "a"]], 3, ["x"], "EmptyCorpusError"),
+    ([[], []], 1, None, "EmptyCorpusError"),
+    ([], 1, None, "EmptyCorpusError"),
+])
+def test_build_matrix_fails_like_the_list_oracle(docs, min_count, doc_ids, error):
+    expected = _build_outcome(oracles.build_matrix_lists, docs, min_count, doc_ids)
+    assert expected[0] == error
+    assert _build_outcome(build_matrix, iter(docs), min_count, doc_ids) == expected
+
+
+# Letters of several scripts, including case pairs whose lowercase differs
+# in form or length; digits of several scripts, "_", punctuation and spaces
+# separate tokens.
+_LETTERS = "abzAZÄäßẞİıΣσςЖжαΩこカ漢ǅŉﬁ"
+_BREAKS = " \t\n_-.,;:!?'\"()0123456789\u0663\u096a\u00a0\u3000\u0301"
+
+
+@st.composite
+def _raw_corpora(draw):
+    words = draw(st.lists(st.text(_LETTERS, min_size=1, max_size=3), min_size=1, max_size=8))
+    piece = st.one_of(st.sampled_from(words), st.text(_BREAKS, min_size=1, max_size=2))
+    texts = draw(st.lists(st.lists(piece, max_size=12).map("".join), max_size=12))
+    stop_words = draw(st.sets(st.sampled_from([w.lower() for w in words] + ["a", "ß"]), max_size=3))
+    return texts, frozenset(stop_words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=_raw_corpora(), min_count=st.integers(1, 4), named=st.booleans())
+def test_build_matrix_matches_list_oracle_on_random_text(corpus, min_count, named):
+    texts, stop_words = corpus
+    doc_ids = [f"doc {i}.txt" for i in range(len(texts))] if named else None
+    expected = _build_outcome(oracles.build_matrix_lists, [tokenize(t, stop_words) for t in texts],
+                              min_count, doc_ids)
+    lazy = (tokenize(t, stop_words) for t in texts)
+    assert _build_outcome(build_matrix, lazy, min_count, doc_ids) == expected
+
+
+def test_build_matrix_peak_memory_is_a_third_of_the_list_oracle():
+    """The token strings of one document at a time and one int per token,
+    against every token string plus three Python lists per entry."""
+    texts = corpus_texts(multinomial_corpus(0, n_docs=4000, vocab_size=1000)[0])
+    peaks = []
+    for build, docs in [(build_matrix, lambda: (tokenize(t) for t in texts)),
+                        (oracles.build_matrix_lists, lambda: [tokenize(t) for t in texts])]:
+        tracemalloc.start()
+        try:
+            tdm, _ = build(docs())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert tdm.matrix.shape == (4000, 1000)
+    assert 3 * peaks[0] <= peaks[1], f"peak {peaks[0]} bytes against the oracle's {peaks[1]}"
 
 
 # --- tfidf_weight ----------------------------------------------------------
@@ -368,6 +451,11 @@ _MAT_CASES = {
     "newline-only": b"\n",
     "header-two-fields": b"3 2\n",
     "header-not-integers": b"a b c\n",
+    "header-first-field-not-integer": b"a 2 1\n0 0 1.0\n",
+    "header-int64-max-plus-one": b"9223372036854775808 2 0\n",
+    "header-int64-max": b"9223372036854775807 2 0\n",
+    "header-beyond-docs-file": b"100000000000 2 0\n",
+    "header-beyond-vocab-file": b"3 3 1\n0 0 1.0\n",
     "header-bom": b"\xef\xbb\xbf3 2 1\n0 0 1.0\n",
     "nnz-0": b"3 2 0\n",
     "nnz-0-negative-dims": b"-1 2 0\n",
@@ -381,6 +469,34 @@ _MAT_CASES = {
 @pytest.mark.parametrize("mat", list(_MAT_CASES.values()), ids=list(_MAT_CASES))
 def test_read_matrix_matches_line_reader_on_edge_cases(tmp_path, mat):
     _assert_same_as_line_reader(_write_raw(tmp_path, mat))
+
+
+# What each header or overflow fault of ``_MAT_CASES`` raises: a ValueError
+# that names the file and, where there is one, the line.
+_FAULTS = {
+    "header-two-fields": "malformed header on line 1: '3 2'",
+    "header-not-integers": "malformed header on line 1: 'a b c'",
+    "header-first-field-not-integer": "malformed header on line 1: 'a 2 1'",
+    "header-bom": r"malformed header on line 1: '\ufeff3 2 1'",  # repr escapes the BOM
+    "nnz-0-negative-dims": "malformed header on line 1: '-1 2 0'",
+    "nnz-negative": "malformed header on line 1: '3 2 -1'",
+    "n-terms-beyond-int64": "malformed header on line 1: '3 99999999999999999999 1'",
+    "n-terms-beyond-int64-duplicate": "malformed header on line 1: '3 99999999999999999999 2'",
+    "header-int64-max-plus-one": "malformed header on line 1: '9223372036854775808 2 0'",
+    "index-beyond-int64": "malformed entry on line 2: '99999999999999999999 0 1.0'",
+    "header-int64-max": "header shape 9223372036854775807 x 2 disagrees with 3 doc ids and 2 terms",
+    "header-beyond-docs-file": "header shape 100000000000 x 2 disagrees with 3 doc ids and 2 terms",
+    "header-beyond-vocab-file": "header shape 3 x 3 disagrees with 3 doc ids and 2 terms",
+}
+
+
+@pytest.mark.parametrize("name", list(_FAULTS))
+def test_read_matrix_faults_are_value_errors_naming_the_file(tmp_path, name):
+    prefix = _write_raw(tmp_path, _MAT_CASES[name])
+    with pytest.raises(ValueError) as info:
+        read_matrix(prefix)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{prefix}.mat: {_FAULTS[name]}")
 
 
 _SEPARATORS = [chr(c) for c in range(0x3001) if chr(c).isspace()] + ["\u200b", "\u180e", "\x00", ","]
