@@ -301,7 +301,8 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     (``_read_entries_by_line``), which names the line of a malformed entry,
     so both accept the same files and return the same matrix. A malformed
     header or entry, and a header shape other than the ``.docs``/``.vocab``
-    lengths, raise a ``ValueError`` that names the ``.mat`` file.
+    lengths, raise a ``ValueError`` that names the ``.mat`` file; a file of
+    the three that is not valid UTF-8 raises one that names that file.
     """
     prefix = Path(prefix)
     mat = Path(f"{prefix}.mat")
@@ -312,8 +313,8 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     if vals.size:
         if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
             raise ValueError(f"{mat}: entry index out of range")
-    vocab = Path(str(prefix) + ".vocab").read_text(encoding="utf-8").splitlines()
-    doc_ids = Path(str(prefix) + ".docs").read_text(encoding="utf-8").splitlines()
+    vocab = _read_utf8(Path(f"{prefix}.vocab")).splitlines()
+    doc_ids = _read_utf8(Path(f"{prefix}.docs")).splitlines()
     # Checked before the CSR index array of n_docs + 1 entries is allocated.
     if (n_docs, n_terms) != (len(doc_ids), len(vocab)):
         raise ValueError(f"{mat}: header shape {n_docs} x {n_terms} disagrees with "
@@ -332,6 +333,14 @@ _CHUNK_CHARS = 1 << 13
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 _Entries = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _read_utf8(path: Path) -> str:
+    """The text of ``path``; a ``ValueError`` naming the file if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
 def _header(line: str, mat: Path) -> tuple[int, int, int]:
@@ -397,7 +406,7 @@ def _read_entries_by_line(mat: Path) -> _Entries:
     Raises a ``ValueError`` naming the file, and the line of a malformed
     entry, for a file that is not one header plus ``nnz`` entry lines.
     """
-    text = mat.read_text(encoding="utf-8").splitlines()
+    text = _read_utf8(mat).splitlines()
     if not text:
         raise ValueError(f"{mat} is empty")
     n_docs, n_terms, nnz = _header(text[0], mat)

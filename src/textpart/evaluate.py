@@ -49,6 +49,11 @@ def nmi(partition, labels) -> float:
     the categories exactly; by convention 0 when either side has a single
     block (the formula is 0/0 there). Cluster ids and category names may be
     any hashable values; only the induced blocks matter.
+
+    Every term is built from the same logs, log n_hl - log n_h - log n_l +
+    log n against log n_h - log n, so a labelling scored against itself
+    gives a numerator that is exactly minus each denominator, hence exactly
+    1. Rounding elsewhere is clipped to [0, 1], where NMI lies.
     """
     clusters = partition.labels if isinstance(partition, Partition) else np.asarray(partition)
     labels = np.asarray(labels)
@@ -64,10 +69,11 @@ def nmi(partition, labels) -> float:
 
     hs, ls = np.nonzero(c)
     vals = c[hs, ls].astype(float)
-    numerator = float(np.sum(vals * np.log(n * vals / (nh[hs] * nl[ls]))))
+    log_n, log_nh, log_nl = math.log(n), np.log(nh), np.log(nl)
+    numerator = float(np.sum(vals * (np.log(vals) - log_nh[hs] - log_nl[ls] + log_n)))
 
-    den_h = float(np.sum(nh * np.log(nh / n)))
-    den_l = float(np.sum(nl * np.log(nl / n)))
+    den_h = float(np.sum(nh * (log_nh - log_n)))
+    den_l = float(np.sum(nl * (log_nl - log_n)))
     if den_h == 0.0 or den_l == 0.0:
         return 0.0
-    return numerator / math.sqrt(den_h * den_l)
+    return min(max(numerator / math.sqrt(den_h * den_l), 0.0), 1.0)

@@ -50,23 +50,26 @@ def centroid(rows) -> np.ndarray:
     return np.asarray(rows, dtype=float).mean(axis=0)
 
 
-def sq_distances(rows, centers: np.ndarray, *, sq_norms: np.ndarray | None = None) -> np.ndarray:
+def sq_distances(rows, centers: np.ndarray, *, sq_norms: np.ndarray | None = None,
+                 cross: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances from every row to every center.
 
     Returns an (n_rows, n_centers) dense array. Uses the expansion
     ||d - m||^2 = ||d||^2 - 2 d.m + ||m||^2 so CSR rows are never
     densified; tiny negative values from cancellation are clipped to 0.
-    ``sq_norms``, if given, must be ``row_sq_norms(rows)``. sGEM computes
-    it once per run and passes it to every E-step, so each call costs one
-    pass over the rows, the cross product ``rows @ centers.T``; with one
-    ``cluster_sums`` per iteration, that is all an sGEM iteration reads of
-    the matrix.
+    ``sq_norms``, if given, must be ``row_sq_norms(rows)`` and ``cross``
+    ``rows @ centers.T``; each is computed when omitted. ``cross`` is only
+    read: the arithmetic runs in one new (n_rows, n_centers) array, which
+    is returned.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     rn = row_sq_norms(rows) if sq_norms is None else sq_norms
     cn = np.einsum("ij,ij->i", centers, centers)
-    cross = np.asarray(rows @ centers.T)
-    d2 = rn[:, None] - 2.0 * cross + cn[None, :]
+    if cross is None:
+        cross = np.asarray(rows @ centers.T)
+    d2 = np.multiply(cross, 2.0)
+    np.subtract(rn[:, None], d2, out=d2)
+    d2 += cn
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -81,16 +84,25 @@ def scatter_value(rows, center: np.ndarray) -> float:
 def cluster_sums(matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster row sums (k, d) and occupancy counts (k,).
 
-    One sparse indicator matmul: row j of the (k, n) indicator selects the
-    rows labelled j, so dense and CSR inputs are summed without slicing.
-    Empty clusters get zero sums.
+    Sparse rows are summed by one ``np.bincount`` over the stored entries,
+    keyed by ``label * d + column``. It adds each key's weights in storage
+    order, and CSR stores rows in ascending order, so every sum adds its
+    rows in ascending row order starting from 0.0: the order of the
+    indicator product used for dense rows and of the per-cluster loop in
+    ``tests/oracles.py``, hence the same bits. Empty clusters get zero sums.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    counts = np.bincount(labels, minlength=k)
+    if sp.issparse(matrix):
+        matrix = matrix.tocsr()
+        d = matrix.shape[1]
+        keys = np.repeat(labels * d, np.diff(matrix.indptr))
+        keys += matrix.indices
+        sums = np.bincount(keys, weights=matrix.data, minlength=k * d).reshape(k, d)
+        return sums, counts
     n = labels.size
     indicator = sp.csr_array((np.ones(n), (labels, np.arange(n))), shape=(k, n))
-    sums = indicator @ matrix
-    sums = sums.toarray() if sp.issparse(sums) else np.asarray(sums, dtype=float)
-    return sums, np.bincount(labels, minlength=k)
+    return np.asarray(indicator @ matrix, dtype=float), counts
 
 
 @dataclass
@@ -104,11 +116,14 @@ class ClusterStats:
     sse: float
 
     @classmethod
-    def from_rows(cls, matrix, members) -> "ClusterStats":
+    def from_rows(cls, matrix, members, *, sq_norms: np.ndarray | None = None) -> "ClusterStats":
+        """Stats of the rows ``members`` of ``matrix``; ``sq_norms``, if
+        given, must be ``row_sq_norms(matrix)``."""
         members = np.asarray(members, dtype=np.intp)
         rows = matrix[members]
         c = centroid(rows)
-        d2 = sq_distances(rows, c)[:, 0]
+        rn = None if sq_norms is None else sq_norms[members]
+        d2 = sq_distances(rows, c, sq_norms=rn)[:, 0]
         return cls(members, c, float(np.sqrt(d2).mean()), float(d2.sum()))
 
     @property
@@ -116,9 +131,10 @@ class ClusterStats:
         return int(self.members.shape[0])
 
 
-def total_scatter_sq(rows, center: np.ndarray) -> float:
-    """Sum of squared distances to ``center`` (the covariance trace times n)."""
-    return float(sq_distances(rows, center)[:, 0].sum())
+def total_scatter_sq(rows, center: np.ndarray, *, sq_norms: np.ndarray | None = None) -> float:
+    """Sum of squared distances to ``center`` (the covariance trace times n);
+    ``sq_norms``, if given, must be ``row_sq_norms(rows)``."""
+    return float(sq_distances(rows, center, sq_norms=sq_norms)[:, 0].sum())
 
 
 def _constant_columns(rows, rows_t) -> np.ndarray:
@@ -141,7 +157,8 @@ def _constant_columns(rows, rows_t) -> np.ndarray:
     return constant
 
 
-def principal_direction(rows, seed=0) -> np.ndarray:
+def principal_direction(rows, seed=0, *, center: np.ndarray | None = None,
+                        sq_norms: np.ndarray | None = None, sse: float | None = None) -> np.ndarray:
     """Unit leading eigenvector of the covariance of a row set.
 
     Restarted Lanczos: the covariance ``C`` is applied matrix-free as
@@ -161,6 +178,11 @@ def principal_direction(rows, seed=0) -> np.ndarray:
     is drawn uniformly from it and re-drawn while it lies (numerically) in
     the null space of ``C``.
 
+    A caller that already holds the row set's statistics passes them:
+    ``center`` (``centroid(rows)``), ``sq_norms`` (``row_sq_norms(rows)``)
+    and ``sse`` (``total_scatter_sq(rows, center)``, which is
+    ``ClusterStats.sse``). Each is computed when omitted.
+
     Raises ``DegenerateClusterError`` when all rows coincide (zero
     covariance), which callers treat as "this cluster cannot be split", and
     ``ConvergenceError`` when the residual bound is not met within
@@ -169,10 +191,10 @@ def principal_direction(rows, seed=0) -> np.ndarray:
     n, dim = rows.shape
     if n < 2:
         raise ValueError("principal direction needs at least 2 rows")
-    w = centroid(rows)
-    norms = row_sq_norms(rows)
+    w = centroid(rows) if center is None else center
+    norms = row_sq_norms(rows) if sq_norms is None else sq_norms
     scale = float(norms.max()) if norms.size else 0.0
-    total = total_scatter_sq(rows, w)
+    total = total_scatter_sq(rows, w, sq_norms=norms) if sse is None else sse
     if total <= _DEGENERATE_REL_TOL * n * max(scale, 1e-300):
         raise DegenerateClusterError("degenerate cluster: all rows identical")
 

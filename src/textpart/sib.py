@@ -176,24 +176,33 @@ class SibState:
         """Draw document x out and re-merge it into the cheapest cluster.
 
         Returns True when the document changed cluster. Skips (and returns
-        False) when x is its cluster's only member.
+        False) when x is its cluster's only member. A document that returns
+        to its own cluster leaves ``pt`` and ``word_mass`` bitwise as they
+        were: the pre-draw values are restored, since adding the document
+        back to the reduced cluster need not give the same bits.
         """
         t_old = int(self.assignment[x])
         if self.sizes[t_old] == 1:
             return False
         cols, avals = self._doc_row(x)
         px = self.px[x]
-        self.pt[t_old] = max(self.pt[t_old] - px, 0.0)
-        self.word_mass[t_old, cols] = np.maximum(self.word_mass[t_old, cols] - avals, 0.0)
-        self.sizes[t_old] -= 1
+        pt_old = self.pt[t_old]
+        mass_old = self.word_mass[t_old, cols]
+        self.pt[t_old] = max(pt_old - px, 0.0)
+        self.word_mass[t_old, cols] = np.maximum(mass_old - avals, 0.0)
 
         t_new = int(np.argmin(self.merge_costs_from(x)))
 
+        if t_new == t_old:
+            self.pt[t_old] = pt_old
+            self.word_mass[t_old, cols] = mass_old
+            return False
+        self.sizes[t_old] -= 1
         self.pt[t_new] += px
         self.word_mass[t_new, cols] += avals
         self.sizes[t_new] += 1
         self.assignment[x] = t_new
-        return t_new != t_old
+        return True
 
     def information(self) -> float:
         """I(T; Y) of the current partition from the incremental statistics."""

@@ -65,13 +65,21 @@ def cluster_stats_from_scratch(joint, assignment: np.ndarray, k: int):
 
 
 def cluster_sums_loop(matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster row sums (k, d) and counts (k,), one fancy-indexed slice per cluster."""
+    """Per-cluster row sums (k, d) and counts (k,), one fancy-indexed slice per
+    cluster. Dense rows are added one at a time in ascending order: numpy's
+    ``sum(axis=0)`` adds a single column pairwise, in another order."""
     counts = np.bincount(labels, minlength=k)
     sums = np.zeros((k, matrix.shape[1]))
     for j in range(k):
         idx = np.nonzero(labels == j)[0]
-        if idx.size:
-            sums[j] = np.asarray(matrix[idx].sum(axis=0)).ravel()
+        if not idx.size:
+            continue
+        rows = matrix[idx]
+        if sp.issparse(rows):
+            sums[j] = np.asarray(rows.sum(axis=0)).ravel()
+        else:
+            for row in rows:
+                sums[j] += row
     return sums, counts
 
 
@@ -168,13 +176,21 @@ def read_matrix_lines(prefix):
     0..2**63 - 1, or a shape other than the ``.docs``/``.vocab`` lengths)
     and an entry index beyond int64 raise a ``ValueError`` naming the file;
     they used to escape as an unnamed ``ValueError``, an ``OverflowError``
-    or a ``MemoryError``."""
+    or a ``MemoryError``. A file that is not valid UTF-8 raises a
+    ``ValueError`` naming it; it used to escape as a bare
+    ``UnicodeDecodeError``."""
     from pathlib import Path
 
     from textpart.corpus import TermDocMatrix
 
+    def read_text(path):
+        try:
+            return Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
+
     prefix = Path(prefix)
-    text = Path(str(prefix) + ".mat").read_text(encoding="utf-8").splitlines()
+    text = read_text(f"{prefix}.mat").splitlines()
     if not text:
         raise ValueError(f"{prefix}.mat is empty")
     try:
@@ -202,8 +218,8 @@ def read_matrix_lines(prefix):
     if nnz:
         if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
             raise ValueError(f"{prefix}.mat: entry index out of range")
-    vocab = Path(str(prefix) + ".vocab").read_text(encoding="utf-8").splitlines()
-    doc_ids = Path(str(prefix) + ".docs").read_text(encoding="utf-8").splitlines()
+    vocab = read_text(f"{prefix}.vocab").splitlines()
+    doc_ids = read_text(f"{prefix}.docs").splitlines()
     if n_docs != len(doc_ids) or n_terms != len(vocab):
         raise ValueError(f"{prefix}.mat: header shape {n_docs} x {n_terms} disagrees with "
                          f"{len(doc_ids)} doc ids and {len(vocab)} terms")
@@ -271,3 +287,145 @@ def build_matrix_lists(docs, min_count: int = 2, doc_ids=None):
     )
     matrix.sort_indices()
     return TermDocMatrix(matrix, tuple(vocab), tuple(kept_ids)), dropped
+
+
+def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0):
+    """PDDP with every split computing its own statistics (no sharing).
+
+    A copy of ``pddp_run`` before the node statistics were shared: each
+    split re-slices its node's rows and computes their centroid three times
+    (node stats, split, eigen-solve), their row norms twice and their
+    residual twice. The eigen-solve is the Lanczos loop of that version,
+    copied verbatim. It uses the package's tree types, row primitives and
+    stopping rules (checked on their own elsewhere), so its tree can be
+    compared with ``pddp_run``'s node for node, bit for bit.
+    """
+    from textpart import model_select
+    from textpart.linalg import (
+        _DEGENERATE_REL_TOL,
+        _KRYLOV_DIM,
+        _MAX_RESTARTS,
+        ClusterStats,
+        ConvergenceError,
+        DegenerateClusterError,
+        _constant_columns,
+        centroid,
+        row_sq_norms,
+        sq_distances,
+    )
+    from textpart.pddp import ClusterTree, NoSplittableLeafError, TreeNode, select_leaf
+
+    def stats_from_rows(members):
+        members = np.asarray(members, dtype=np.intp)
+        rows = matrix[members]
+        c = centroid(rows)
+        d2 = sq_distances(rows, c)[:, 0]
+        return ClusterStats(members, c, float(np.sqrt(d2).mean()), float(d2.sum()))
+
+    def total_scatter_sq(rows, center):
+        return float(sq_distances(rows, center)[:, 0].sum())
+
+    def principal_direction(rows, seed=0):
+        n, dim = rows.shape
+        if n < 2:
+            raise ValueError("principal direction needs at least 2 rows")
+        w = centroid(rows)
+        norms = row_sq_norms(rows)
+        scale = float(norms.max()) if norms.size else 0.0
+        total = total_scatter_sq(rows, w)
+        if total <= _DEGENERATE_REL_TOL * n * max(scale, 1e-300):
+            raise DegenerateClusterError("degenerate cluster: all rows identical")
+
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        trace = total / n  # = tr(C), an upper bound scale for eigenvalues
+        rows_t = rows.T.tocsr() if sp.issparse(rows) else rows.T
+
+        def apply_cov(v: np.ndarray) -> np.ndarray:
+            return rows_t @ (rows @ v) / n - w * (w @ v)
+
+        for _ in range(51):  # one draw, then up to 50 redraws
+            v = rng.uniform(-1.0, 1.0, size=dim)
+            v /= np.linalg.norm(v)
+            cv = apply_cov(v)
+            if np.linalg.norm(cv) > 1e-14 * trace:  # else v lies in the null space of C
+                break
+        else:
+            raise DegenerateClusterError("degenerate cluster: covariance is null")
+
+        basis, images = np.empty((2, min(_KRYLOV_DIM, dim), dim))  # images[j] = C basis[j]
+        basis[0], images[0] = v, cv
+        for _ in range(_MAX_RESTARTS):
+            k = 1
+            while k < len(basis):
+                q = basis[:k]
+                r = images[k - 1] - (q @ images[k - 1]) @ q
+                r -= (q @ r) @ q  # second Gram-Schmidt pass keeps the basis orthonormal
+                nr = np.linalg.norm(r)
+                if nr <= 1e-12 * trace:
+                    break  # the basis spans an invariant subspace
+                basis[k] = r / nr
+                images[k] = apply_cov(basis[k])
+                k += 1
+            evals, evecs = np.linalg.eigh(basis[:k] @ images[:k].T)
+            u, cu = evecs[:, -1] @ basis[:k], evecs[:, -1] @ images[:k]
+            if np.linalg.norm(cu - evals[-1] * u) <= 1e-8 * max(1.0, abs(evals[-1])):
+                break
+            basis[0], images[0] = u / np.linalg.norm(u), cu / np.linalg.norm(u)
+        else:
+            raise ConvergenceError(f"principal direction did not converge in {_MAX_RESTARTS} restarts")
+
+        u = cu / np.linalg.norm(cu)
+        u[_constant_columns(rows, rows_t)] = 0.0
+        nz = np.nonzero(u)[0]
+        if nz.size and u[nz[0]] < 0:
+            u = -u
+        return u
+
+    def split_cluster(members, seed=0):
+        members = np.asarray(members, dtype=np.intp)
+        if members.size < 2:
+            raise ValueError("cannot split a cluster with fewer than 2 members")
+        rows = matrix[members]
+        w = centroid(rows)
+        u = principal_direction(rows, seed)
+        proj = np.asarray(rows @ u).ravel() - float(w @ u)
+        left = members[proj <= 0]
+        right = members[proj > 0]
+        if left.size == 0 or right.size == 0:
+            raise RuntimeError("internal error: hyperplane split produced an empty side")
+        return left, right, u
+
+    n = matrix.shape[0]
+    rng = np.random.default_rng(seed)
+    tree = ClusterTree()
+    tree.nodes.append(TreeNode(0, None, 0, stats_from_rows(np.arange(n, dtype=np.intp))))
+    while True:
+        if stop == "fixed" and tree.n_leaves >= k:
+            break
+        if stop == "csv" and tree.n_leaves >= 2 and model_select.csv_stop(tree):
+            break
+        try:
+            nid = select_leaf(tree)
+        except NoSplittableLeafError:
+            if stop in ("fixed", "csv"):
+                tree.warning = True  # rule never fired
+            break
+        node = tree.nodes[nid]
+        try:
+            left, right, u = split_cluster(node.members, rng)
+        except DegenerateClusterError:
+            node.final = True
+            continue
+        children = [stats_from_rows(side) for side in (left, right)]
+        if stop == "bic":
+            others = [leaf.stats for leaf in tree.leaves() if leaf.node_id != nid]
+            if not model_select.bic_split_test(
+                    [s.size for s in others], [s.sse for s in others], node.stats, *children):
+                node.final = True
+                continue
+        node.direction = u
+        for stats in children:
+            tree.nodes.append(TreeNode(len(tree.nodes), nid, node.depth + 1, stats))
+        node.left = tree.nodes[-2].node_id
+        node.right = tree.nodes[-1].node_id
+    return tree

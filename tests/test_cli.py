@@ -337,6 +337,18 @@ def test_cluster_matrix_file_faults_exit_1(tmp_path, capsys, mat, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suffix", ["mat", "vocab", "docs"])
+def test_cluster_names_a_matrix_file_that_is_not_utf8(tmp_path, capsys, suffix):
+    files = {"mat": b"3 2 1\n0 0 1.0\n", "vocab": b"a\nb\n", "docs": b"x\ny\nz\n"}
+    files[suffix] = files[suffix].replace(b"\n", b"\xff\n", 1)
+    for name, data in files.items():
+        (tmp_path / f"bad.{name}").write_bytes(data)
+    assert main(["cluster", str(tmp_path / "bad"), "--algo", "pddp", "--stop", "fixed", "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"textpart: error: {tmp_path / f'bad.{suffix}'}: not valid UTF-8 (")
+    assert "Traceback" not in err
+
+
 def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):
     X = near_tied_cloud(0)
     prefix = tmp_path / "tied"

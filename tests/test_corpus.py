@@ -487,6 +487,7 @@ _FAULTS = {
     "header-int64-max": "header shape 9223372036854775807 x 2 disagrees with 3 doc ids and 2 terms",
     "header-beyond-docs-file": "header shape 100000000000 x 2 disagrees with 3 doc ids and 2 terms",
     "header-beyond-vocab-file": "header shape 3 x 3 disagrees with 3 doc ids and 2 terms",
+    "invalid-utf8": "not valid UTF-8 ('utf-8' codec can't decode byte 0xff in position 13",
 }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from textpart.evaluate import Contingency, nmi
 from textpart.partition import Partition
@@ -83,3 +85,38 @@ def test_contingency_counts_and_marginals():
     assert table.counts.sum() == 5
     assert table.category_totals().tolist() == [2, 3]
     assert table.cluster_totals().tolist() == [3, 2]
+
+
+# --- properties ----------------------------------------------------------------
+
+_LABELINGS = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 6), min_size=n, max_size=n),
+    st.lists(st.sampled_from("abcdefgh"), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_LABELINGS)
+def test_nmi_is_symmetric_and_bounded(pair):
+    clusters, categories = np.array(pair[0]), np.array(pair[1])
+    forward = nmi(clusters, categories)
+    assert abs(forward - nmi(categories, clusters)) <= 1e-12
+    assert 0.0 <= forward <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.integers(0, 6), min_size=2, max_size=60))
+def test_nmi_of_a_labelling_with_itself_is_one(labels):
+    labels = np.array(labels)
+    assume(np.unique(labels).size > 1)
+    assert nmi(labels, labels) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(0, 9), max_size=50), extra=st.integers(0, 3))
+def test_partition_sizes_sum_to_n(labels, extra):
+    labels = np.array(labels, dtype=np.int64)
+    part = Partition(labels, (int(labels.max()) + 1 if labels.size else 1) + extra)
+    sizes = part.sizes()
+    assert sizes.shape == (part.k,)
+    assert int(sizes.sum()) == part.n_docs == labels.size
+    assert part.n_nonempty() == np.unique(labels).size

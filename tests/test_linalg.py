@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datagen import near_tied_cloud
 from oracles import cluster_sums_loop, dense_covariance, top_eigvec_dense
@@ -75,6 +77,41 @@ def test_cluster_sums_matches_loop_oracle(sparse):
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(sums, ref_sums)  # same summation order, so bitwise equal
     assert not sums[2].any() and not sums[4].any() and counts[2] == counts[4] == 0
+
+
+@st.composite
+def _labelled_rows(draw):
+    """A matrix (dense, or CSR with some rows' column indices reversed),
+    labels that leave some clusters empty, and k up to 3 beyond the
+    largest label."""
+    n = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 6))
+    values = st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([0.1, 1 / 3, 1e-300, 7e15])
+    cells = draw(st.lists(values, min_size=n * d, max_size=n * d))
+    X = np.array(cells).reshape(n, d)
+    X[np.array(draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))).reshape(n, d)] = 0.0
+    X[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0  # empty rows
+    labels = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=np.int64)
+    k = int(labels.max()) + 1 + draw(st.integers(0, 3))
+    if not draw(st.booleans()):
+        return X, labels, k
+    M = sp.csr_array(X)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        lo, hi = M.indptr[i], M.indptr[i + 1]
+        M.indices[lo:hi], M.data[lo:hi] = M.indices[lo:hi][::-1].copy(), M.data[lo:hi][::-1].copy()
+    M.has_sorted_indices = False
+    return M, labels, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_labelled_rows())
+def test_cluster_sums_matches_loop_oracle_bitwise(case):
+    M, labels, k = case
+    sums, counts = cluster_sums(M, labels, k)
+    ref_sums, ref_counts = cluster_sums_loop(M, labels, k)
+    assert sums.shape == ref_sums.shape == (k, M.shape[1])
+    assert np.array_equal(counts, ref_counts)
+    assert sums.tobytes() == ref_sums.tobytes()
 
 
 def test_scatter_translation_invariance():

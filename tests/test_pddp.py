@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datagen import five_clusters, multinomial_corpus, two_gaussians
-from oracles import top_eigvec_dense
+from oracles import pddp_run_recompute, top_eigvec_dense
 from textpart import nmi, pddp
 from textpart.corpus import tfidf_weight
 from textpart.linalg import ClusterStats, DegenerateClusterError
@@ -185,9 +188,9 @@ def test_pddp_bic_stop_finds_two_clouds():
     assert nmi(tree.partition(), labels) >= 0.95
 
 
-def _oracle_direction(rows, seed):
+def _oracle_direction(rows, seed, **stats):
     """Dense-eigh direction, signed like the solver: positive on the first
-    column any row uses."""
+    column any row uses. The node statistics PDDP passes are not needed."""
     u = top_eigvec_dense(rows)
     first = np.flatnonzero(np.asarray(abs(rows).sum(axis=0)).ravel())[0]
     return u if u[first] > 0 else -u
@@ -203,3 +206,68 @@ def test_pddp_partition_matches_dense_eigen_oracle(monkeypatch, seed, stop):
     monkeypatch.setattr(pddp, "principal_direction", _oracle_direction)
     oracle = pddp_run(matrix, stop=stop, k=k, seed=seed).partition().labels
     assert solved.tobytes() == oracle.tobytes()
+
+
+# --- node statistics computed once: same tree, bit for bit -------------------
+
+def _assert_same_tree(tree, oracle):
+    assert tree.warning == oracle.warning
+    assert len(tree.nodes) == len(oracle.nodes)
+    for a, b in zip(tree.nodes, oracle.nodes):
+        assert (a.node_id, a.parent, a.depth, a.left, a.right, a.final) == \
+            (b.node_id, b.parent, b.depth, b.left, b.right, b.final)
+        assert a.members.tobytes() == b.members.tobytes()
+        assert a.stats.centroid.tobytes() == b.stats.centroid.tobytes()
+        assert (a.stats.scatter, a.stats.sse) == (b.stats.scatter, b.stats.sse)
+        assert (a.direction is None) == (b.direction is None)
+        if a.direction is not None:
+            assert a.direction.tobytes() == b.direction.tobytes()
+
+
+@pytest.mark.parametrize("stop", ["fixed", "csv", "bic"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pddp_run_matches_recompute_oracle_on_tfidf(seed, stop):
+    tdm, _ = multinomial_corpus(seed)
+    matrix = tfidf_weight(tdm)[0].matrix
+    k = 12 if stop == "fixed" else None
+    tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
+    _assert_same_tree(tree, pddp_run_recompute(matrix, stop=stop, k=k, seed=seed))
+    assert len(tree.nodes) > 1
+
+
+@pytest.mark.parametrize("stop", ["fixed", "csv", "bic"])
+@pytest.mark.parametrize("data", ["five_clusters", "two_gaussians"])
+def test_pddp_run_matches_recompute_oracle_on_dense_points(data, stop):
+    X, _ = five_clusters(1) if data == "five_clusters" else two_gaussians(1, n=400)
+    k = 7 if stop == "fixed" else None
+    tree = pddp_run(X, stop=stop, k=k, seed=1)
+    _assert_same_tree(tree, pddp_run_recompute(X, stop=stop, k=k, seed=1))
+    assert len(tree.nodes) > 1
+
+
+@st.composite
+def _point_sets(draw):
+    """Small point sets with repeated rows (so some leaves cannot split),
+    dense or CSR."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 5))
+    pool = draw(st.integers(1, n))
+    base = np.array(draw(st.lists(st.integers(-3, 3), min_size=pool * d, max_size=pool * d)),
+                    dtype=float).reshape(pool, d)
+    X = base[np.array(draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n)))]
+    return sp.csr_array(X) if draw(st.booleans()) else X
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=_point_sets(), stop=st.sampled_from(["fixed", "csv", "bic"]), k=st.integers(1, 8),
+       seed=st.integers(0, 3))
+def test_pddp_leaves_partition_the_rows(X, stop, k, seed):
+    tree = pddp_run(X, stop=stop, k=k if stop == "fixed" else None, seed=seed)
+    n = X.shape[0]
+    members = np.concatenate([leaf.members for leaf in tree.leaves()])
+    assert np.array_equal(np.sort(members), np.arange(n))
+    part = tree.partition()
+    assert part.k == tree.n_leaves and part.n_docs == n
+    assert int(part.sizes().sum()) == n and part.n_nonempty() == part.k
+    if stop == "fixed":
+        assert part.k <= k and (part.k == k or tree.warning)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from datagen import five_clusters, multinomial_corpus, two_gaussians
 from oracles import sgem_run_recompute
@@ -251,3 +252,40 @@ def test_sgem_run_computes_each_statistic_once(case, monkeypatch):
     assert calls["cluster_sums"] == iterations + 1 + moves["n"]
     assert calls["m_step"] == calls["e_step"] == calls["complete_log_likelihood"] == iterations
     assert (moves["n"] > 0) == (case == "emptying")
+
+
+@pytest.mark.parametrize("case", ["c9-bic", "c9-fixed", "emptying", "emptying-csr"])
+def test_sgem_cached_cross_product_equals_a_fresh_product(case, monkeypatch):
+    """The E-step's cached ``matrix @ centroids.T`` has the bits of a fresh
+    product after every iteration, repairs included. For CSR input this
+    rests on a column of scipy's product not depending on which other
+    columns are computed with it."""
+    if case.startswith("c9"):
+        init, matrix = _c9_case(case[3:])
+    else:
+        init, matrix = _emptying_case()
+        if case == "emptying-csr":
+            matrix = sp.csr_array(matrix)
+    seen = []
+    e_step_fn = sgem.e_step
+
+    def checking_e_step(model, m, **kwargs):
+        fresh = np.asarray(m @ model.centroids.T)
+        assert kwargs["cross"].tobytes() == fresh.tobytes()
+        seen.append(model.centroids)
+        return e_step_fn(model, m, **kwargs)
+
+    monkeypatch.setattr(sgem, "e_step", checking_e_step)
+    calls = {}
+    _count_calls(monkeypatch, sgem, "_repair_empty_clusters", calls)
+    final, model, trace = sgem_run(init, matrix)
+    assert len(seen) == len(trace) > 1
+    # some iteration reused columns: a centroid stayed bitwise the same
+    assert any(np.any(np.all(a == b, axis=1)) for a, b in zip(seen, seen[1:]))
+    if case.startswith("emptying"):
+        assert calls.get("_repair_empty_clusters", 0) >= 1
+    labels, centroids, sigma2, oracle_trace = sgem_run_recompute(init, matrix)
+    assert np.array_equal(final.labels, labels)
+    assert trace == oracle_trace
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.sigma2 == sigma2

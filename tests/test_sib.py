@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datagen import random_joint
 from oracles import (
@@ -189,6 +191,22 @@ def test_sib_incremental_stats_match_scratch():
         assert np.abs(state.word_mass - mass).max() < 1e-9
 
 
+def test_sib_no_move_draw_leaves_statistics_bitwise_unchanged():
+    joint = random_joint(60, 12, seed=3)
+    k = 4
+    rng = np.random.default_rng(2)
+    state = SibState(joint, random_assignment(60, k, rng), k)
+    no_moves = 0
+    for _ in range(4):
+        for x in rng.permutation(60):
+            before = (state.pt.tobytes(), state.word_mass.tobytes(), state.sizes.tobytes())
+            was_alone = state.sizes[state.assignment[x]] == 1
+            if not state.draw_and_merge(int(x)):
+                no_moves += not was_alone
+                assert (state.pt.tobytes(), state.word_mass.tobytes(), state.sizes.tobytes()) == before
+    assert no_moves >= 60
+
+
 def test_sib_merge_costs_match_definition():
     joint = random_joint(20, 6, seed=8)
     k = 3
@@ -239,3 +257,17 @@ def test_sib_score_matches_definitional_information():
     oracle = information_of_assignment(joint, part.assignment, 3)
     assert part.score == pytest.approx(oracle, abs=1e-9)
     assert mutual_information(part, joint) == pytest.approx(oracle, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 25), m=st.integers(1, 6), data=st.data(), seed=st.integers(0, 1000))
+def test_sib_run_returns_exactly_k_nonempty_clusters(n, m, data, seed):
+    joint = random_joint(n, m, seed=seed)
+    k = data.draw(st.integers(1, n))
+    part = sib_run(joint, k, n_restarts=2, max_loops=3, seed=seed)
+    assert part.assignment.shape == (n,)
+    assert np.array_equal(np.bincount(part.assignment, minlength=k) > 0, np.ones(k, dtype=bool))
+    init = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if len(set(init)) == k:  # refinement mode starts from a partition with no empty cluster
+        refined = sib_run(joint, k, max_loops=3, seed=seed, init=np.array(init))
+        assert np.all(np.bincount(refined.assignment, minlength=k) > 0)
