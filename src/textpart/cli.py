@@ -38,12 +38,15 @@ from .corpus import (
 )
 from .evaluate import nmi
 from .linalg import ConvergenceError
-from .partition import Partition
 from .pddp import pddp_run
 from .sgem import sgem_run
 from .sib import sib_run
 
-ALGOS = ("pddp", "pddp+sgem", "sib", "pddp+sib")
+# The flags each pipeline reads beyond --stop, --k, --seed and --weighting,
+# in the order its report writes them as `param` lines.
+PIPELINE_PARAMS = {"pddp": (), "pddp+sgem": ("delta",), "sib": ("restarts", "maxl", "eps"),
+                   "pddp+sib": ("maxl", "eps")}
+ALGOS = tuple(PIPELINE_PARAMS)
 
 
 def _subset_docs(m: TermDocMatrix, keep_ids: set[str]) -> TermDocMatrix:
@@ -66,6 +69,11 @@ def run_clustering(
 ) -> report_mod.RunReport:
     """Run one clustering configuration and assemble its report.
 
+    Every pipeline builds a PDDP tree (``sib`` under ``stop="fixed"`` does
+    not) and may refine its leaves: ``pddp+sgem`` by sGEM, ``pddp+sib`` by
+    one sIB sweep from the leaves, ``sib`` by sIB from random restarts with
+    K = ``k`` or the leaf count.
+
     The reported wall-clock time covers the clustering phase only (not
     matrix loading or weighting transforms).
     """
@@ -81,52 +89,34 @@ def run_clustering(
         raise ValueError(f"unknown weighting {weighting!r}")
     if weighted.n_docs < 2:
         raise ValueError("fewer than 2 documents remain after weighting")
-
-    matrix = weighted.matrix
-    needs_joint = algo in ("sib", "pddp+sib")
-    joint = word_conditionals(tdm) if needs_joint else None
-
-    params: list[tuple[str, str]] = [("stop", stop), ("weighting", weighting)]
-    tree = None
-    started = time.perf_counter()
-
-    if algo == "pddp":
-        tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
-        part = tree.partition()
-        if stop == "fixed":
-            params.append(("k", str(k)))
-    elif algo == "pddp+sgem":
-        tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
-        part, _, _ = sgem_run(tree.partition(), matrix, delta=delta)
-        if stop == "fixed":
-            params.append(("k", str(k)))
-        params.append(("delta", repr(delta) if delta is not None else "auto"))
-    elif algo == "sib":
-        if stop == "fixed":
-            k_run = k
-        else:
-            tree = pddp_run(matrix, stop=stop, seed=seed)
-            k_run = tree.n_leaves
-        ib = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps, seed=seed)
-        part = Partition(ib.assignment, k_run)
-        params.extend([("k", str(k_run)), ("restarts", str(restarts)),
-                       ("maxl", str(maxl)), ("eps", repr(eps))])
-    elif algo == "pddp+sib":
-        tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
-        init = tree.partition()
-        ib = sib_run(joint, init.k, max_loops=maxl, eps=eps, seed=seed, init=init.labels)
-        part = Partition(ib.assignment, init.k)
-        if stop == "fixed":
-            params.append(("k", str(k)))
-        params.extend([("maxl", str(maxl)), ("eps", repr(eps))])
-    else:
+    if algo not in PIPELINE_PARAMS:
         raise ValueError(f"unknown algorithm {algo!r}")
 
+    matrix = weighted.matrix
+    joint = word_conditionals(tdm) if algo in ("sib", "pddp+sib") else None
+
+    started = time.perf_counter()
+    tree, k_run = None, k
+    if algo != "sib" or stop != "fixed":
+        tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
+        leaves = tree.partition()
+        labels, k_run = leaves.labels, leaves.k
+    if algo == "pddp+sgem":
+        labels = sgem_run(leaves, matrix, delta=delta)[0].labels
+    elif joint is not None:
+        init = labels if algo == "pddp+sib" else None
+        labels = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps,
+                         seed=seed, init=init).assignment
     elapsed = time.perf_counter() - started
     if tree is not None and tree.warning:
         print("warning: leaves exhausted before the stopping rule fired", file=sys.stderr)
 
-    labels = part.labels
+    params = [("stop", stop), ("weighting", weighting)]
+    if stop == "fixed" or algo == "sib":
+        params.append(("k", str(k if stop == "fixed" else k_run)))
+    flags = {"delta": "auto" if delta is None else repr(delta), "restarts": str(restarts),
+             "maxl": str(maxl), "eps": repr(eps)}
+    params.extend((name, flags[name]) for name in PIPELINE_PARAMS[algo])
     rep = report_mod.RunReport(
         algorithm=algo,
         seed=seed,
@@ -233,6 +223,8 @@ def _validate_cluster_flags(parser: argparse.ArgumentParser, args: argparse.Name
         parser.error("--k is only valid with --stop fixed")
     if not 0.0 <= args.eps < 1.0:
         parser.error("--eps must be in [0, 1)")
+    if args.delta is not None and not 0.0 <= args.delta < np.inf:
+        parser.error("--delta must be finite and >= 0")
     if args.restarts < 1:
         parser.error("--restarts must be >= 1")
     if args.maxl < 1:

@@ -27,13 +27,6 @@ class Partition:
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
             raise ValueError("cluster index out of range")
 
-    @classmethod
-    def from_labels(cls, labels, k: int | None = None) -> "Partition":
-        labels = np.asarray(labels, dtype=np.int64)
-        if k is None:
-            k = int(labels.max()) + 1 if labels.size else 1
-        return cls(labels, k)
-
     @property
     def n_docs(self) -> int:
         return int(self.labels.size)
@@ -46,6 +39,3 @@ class Partition:
 
     def n_nonempty(self) -> int:
         return int((self.sizes() > 0).sum())
-
-    def copy(self) -> "Partition":
-        return Partition(self.labels.copy(), self.k)

@@ -64,10 +64,6 @@ class SGemModel:
     def k(self) -> int:
         return int(self.priors.shape[0])
 
-    @property
-    def dim(self) -> int:
-        return int(self.centroids.shape[1])
-
 
 def _repair_empty_clusters(
     labels: np.ndarray, sums: np.ndarray, counts: np.ndarray, matrix, sq_norms: np.ndarray
@@ -202,8 +198,8 @@ def sgem_run(
     reassigns every document; the cluster sums of the new assignment serve
     both its log-likelihood and the next refit. Stops when the assignment
     reaches a fixed point, when the complete-data log-likelihood increases
-    by less than ``delta`` (default ``1e-6 * n_docs``), or after
-    ``max_iter`` iterations.
+    by less than ``delta`` (default ``1e-6 * n_docs``), or after ``max_iter``
+    iterations. ``delta`` must be finite and >= 0.
     Returns the final partition, the last fitted model, and the
     log-likelihood trace (one value per iteration).
     """
@@ -215,6 +211,8 @@ def sgem_run(
         raise ValueError("initial partition has an empty cluster")
     if delta is None:
         delta = 1e-6 * n
+    elif not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
 
     sq_norms = row_sq_norms(matrix)
     z = init

@@ -274,11 +274,12 @@ def sib_run(
     no change) or after ``max_loops`` loops.
 
     When ``init`` is given (refinement mode) a single sweep is run from
-    that assignment instead of random restarts.
+    that assignment, with a generator seeded by ``seed`` itself, instead of
+    random restarts.
     """
     n = joint.n_docs
-    if k < 1 or k > n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
     if n_restarts < 1:
@@ -286,21 +287,15 @@ def sib_run(
     if max_loops < 1:
         raise ValueError("max_loops must be >= 1")
 
-    if init is not None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        assignment, _ = _run_single(joint, k, np.asarray(init, dtype=np.int64), max_loops, eps, rng)
-        state = SibState(joint, assignment, k)
-        return state.to_partition()
-
-    results = []
-    for sub_seed in np.random.SeedSequence(seed).spawn(n_restarts):
-        rng = np.random.default_rng(sub_seed)
-        start = random_assignment(n, k, rng)
-        results.append(_run_single(joint, k, start, max_loops, eps, rng))
-
-    best = 0
-    for i in range(1, n_restarts):
-        if results[i][1] > results[best][1]:
-            best = i
-    state = SibState(joint, results[best][0], k)
-    return state.to_partition()
+    root = np.random.SeedSequence(seed)
+    if init is None:
+        rngs = map(np.random.default_rng, root.spawn(n_restarts))
+        starts = ((random_assignment(n, k, rng), rng) for rng in rngs)
+    else:
+        starts = [(np.asarray(init, dtype=np.int64), np.random.default_rng(root))]
+    best = None
+    for start, rng in starts:
+        result = _run_single(joint, k, start, max_loops, eps, rng)
+        if best is None or result[1] > best[1]:
+            best = result
+    return SibState(joint, best[0], k).to_partition()

@@ -429,3 +429,163 @@ def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: 
         node.left = tree.nodes[-2].node_id
         node.right = tree.nodes[-1].node_id
     return tree
+
+
+# The two functions below are the pipeline flow as it was written before
+# ``run_clustering`` and ``sib_run`` became one flow each: one branch per
+# algorithm, and a separate ``init`` path in sIB. Their bodies are copied
+# verbatim; only the names and the imports differ. The package's stages
+# (``pddp_run``, ``sgem_run``, ``SibState``) are checked on their own
+# elsewhere, so reports and partitions can be compared bit for bit.
+
+
+def sib_run_branches(
+    joint: JointDistribution,
+    k: int,
+    n_restarts: int = 10,
+    max_loops: int = 50,
+    eps: float = 0.0,
+    seed: int = 0,
+    init: np.ndarray | None = None,
+) -> IBPartition:
+    """Cluster the joint's documents into exactly ``k`` clusters.
+
+    Runs ``n_restarts`` independent sweeps from random partitions (each
+    restart owns a sub-seed derived from ``seed``) and keeps the partition
+    with the largest I(T; Y); ties go to the lowest restart index. A sweep
+    visits the documents in a fresh seeded permutation per loop and stops
+    after a loop with at most ``eps * n`` changes (``eps = 0``: a loop with
+    no change) or after ``max_loops`` loops.
+
+    When ``init`` is given (refinement mode) a single sweep is run from
+    that assignment instead of random restarts.
+    """
+    from textpart.sib import SibState, _run_single, random_assignment
+
+    n = joint.n_docs
+    if k < 1 or k > n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must be in [0, 1)")
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be >= 1")
+    if max_loops < 1:
+        raise ValueError("max_loops must be >= 1")
+
+    if init is not None:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        assignment, _ = _run_single(joint, k, np.asarray(init, dtype=np.int64), max_loops, eps, rng)
+        state = SibState(joint, assignment, k)
+        return state.to_partition()
+
+    results = []
+    for sub_seed in np.random.SeedSequence(seed).spawn(n_restarts):
+        rng = np.random.default_rng(sub_seed)
+        start = random_assignment(n, k, rng)
+        results.append(_run_single(joint, k, start, max_loops, eps, rng))
+
+    best = 0
+    for i in range(1, n_restarts):
+        if results[i][1] > results[best][1]:
+            best = i
+    state = SibState(joint, results[best][0], k)
+    return state.to_partition()
+
+
+def run_clustering_branches(
+    tdm: TermDocMatrix,
+    algo: str,
+    stop: str,
+    k: int | None = None,
+    delta: float | None = None,
+    restarts: int = 10,
+    maxl: int = 50,
+    eps: float = 0.0,
+    seed: int = 0,
+    weighting: str = "tfidf",
+) -> report_mod.RunReport:
+    """Run one clustering configuration and assemble its report.
+
+    The reported wall-clock time covers the clustering phase only (not
+    matrix loading or weighting transforms).
+    """
+    import sys
+    import time
+
+    from textpart import report as report_mod
+    from textpart.cli import _subset_docs
+    from textpart.corpus import tfidf_weight, word_conditionals
+    from textpart.partition import Partition
+    from textpart.pddp import pddp_run
+    from textpart.sgem import sgem_run
+
+    sib_run = sib_run_branches
+
+    if weighting == "tfidf":
+        weighted, dropped = tfidf_weight(tdm)
+        if dropped:
+            for d in dropped:
+                print(f"dropped document with no informative terms: {d}", file=sys.stderr)
+            tdm = _subset_docs(tdm, set(weighted.doc_ids))
+    elif weighting == "none":
+        weighted = tdm
+    else:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if weighted.n_docs < 2:
+        raise ValueError("fewer than 2 documents remain after weighting")
+
+    matrix = weighted.matrix
+    needs_joint = algo in ("sib", "pddp+sib")
+    joint = word_conditionals(tdm) if needs_joint else None
+
+    params: list[tuple[str, str]] = [("stop", stop), ("weighting", weighting)]
+    tree = None
+    started = time.perf_counter()
+
+    if algo == "pddp":
+        tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
+        part = tree.partition()
+        if stop == "fixed":
+            params.append(("k", str(k)))
+    elif algo == "pddp+sgem":
+        tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
+        part, _, _ = sgem_run(tree.partition(), matrix, delta=delta)
+        if stop == "fixed":
+            params.append(("k", str(k)))
+        params.append(("delta", repr(delta) if delta is not None else "auto"))
+    elif algo == "sib":
+        if stop == "fixed":
+            k_run = k
+        else:
+            tree = pddp_run(matrix, stop=stop, seed=seed)
+            k_run = tree.n_leaves
+        ib = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps, seed=seed)
+        part = Partition(ib.assignment, k_run)
+        params.extend([("k", str(k_run)), ("restarts", str(restarts)),
+                       ("maxl", str(maxl)), ("eps", repr(eps))])
+    elif algo == "pddp+sib":
+        tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
+        init = tree.partition()
+        ib = sib_run(joint, init.k, max_loops=maxl, eps=eps, seed=seed, init=init.labels)
+        part = Partition(ib.assignment, init.k)
+        if stop == "fixed":
+            params.append(("k", str(k)))
+        params.extend([("maxl", str(maxl)), ("eps", repr(eps))])
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}")
+
+    elapsed = time.perf_counter() - started
+    if tree is not None and tree.warning:
+        print("warning: leaves exhausted before the stopping rule fired", file=sys.stderr)
+
+    labels = part.labels
+    rep = report_mod.RunReport(
+        algorithm=algo,
+        seed=seed,
+        params=params,
+        k_found=int(np.unique(labels).size),
+        time_seconds=elapsed,
+        tree=report_mod.tree_records(tree) if tree is not None else None,
+        assignments=[(doc_id, int(c)) for doc_id, c in zip(tdm.doc_ids, labels)],
+    )
+    return rep

@@ -1,18 +1,21 @@
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from datagen import corpus_texts, dense_matrix, five_clusters, multinomial_corpus, near_tied_cloud
 import textpart
 from textpart import linalg
-from textpart.cli import main
+from textpart.cli import ALGOS, main, run_clustering
 from textpart.corpus import read_corpus_dir, read_corpus_lines, read_stop_words, tokenize, write_matrix
-from textpart.report import read_report
+from textpart.report import format_report, read_report
 
 DOC_A = "the quick brown fox jumps over the lazy dog the fox"
 DOC_B = "the dog sleeps while the brown fox runs the fox hunts"
@@ -360,3 +363,90 @@ def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("textpart: error: ") and "did not converge" in err
     assert not out.exists()
+
+
+# --- one clustering flow, checked against the per-algorithm branches ---------
+
+def _pipeline_corpus(seed):
+    """A small topic corpus plus one term in every document; document 5
+    holds only that term, so tf-idf weighting drops it."""
+    m = multinomial_corpus(seed, n_docs=120, vocab_size=60)[0]
+    rows = np.hstack([m.matrix.toarray(), np.ones((m.n_docs, 1))])
+    rows[5, :-1] = 0.0
+    return textpart.TermDocMatrix(sp.csr_array(rows), m.vocab + ("wcommon",), m.doc_ids)
+
+
+@pytest.mark.parametrize("corpus_seed", [0, 1])
+@pytest.mark.parametrize("delta", [None, 0.5])
+@pytest.mark.parametrize("weighting", ["tfidf", "none"])
+@pytest.mark.parametrize("stop", ["fixed", "csv", "bic"])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_clustering_matches_per_algorithm_branches(capsys, algo, stop, weighting, delta,
+                                                       corpus_seed):
+    tdm = _pipeline_corpus(corpus_seed)
+    kwargs = dict(k=4 if stop == "fixed" else None, delta=delta, restarts=2, maxl=5,
+                  eps=0.01, seed=3, weighting=weighting)
+    outputs = []
+    for run in (oracles.run_clustering_branches, run_clustering):
+        rep = run(tdm, algo, stop, **kwargs)
+        rep.time_seconds = 0.0
+        outputs.append((format_report(rep), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    if weighting == "tfidf":
+        assert "dropped document with no informative terms: 5\n" in outputs[1][1].err
+
+
+def test_run_clustering_sib_fixed_without_k_is_a_value_error():
+    with pytest.raises(ValueError, match="k must be an integer"):
+        run_clustering(_pipeline_corpus(0), "sib", "fixed", k=None)
+
+
+def test_run_clustering_pddp_sib_rejects_zero_restarts():
+    with pytest.raises(ValueError, match="n_restarts"):
+        run_clustering(_pipeline_corpus(0), "pddp+sib", "fixed", k=3, restarts=0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5"])
+def test_cluster_rejects_non_finite_or_negative_delta(capsys, value):
+    with pytest.raises(SystemExit) as err:
+        main(["cluster", "p", "--algo", "pddp+sgem", "--stop", "fixed", "--k", "2",
+              f"--delta={value}"])
+    assert err.value.code == 2
+    assert "--delta must be finite and >= 0" in capsys.readouterr().err
+
+
+# Stage spans the benchmark's tracer must find inside ``cli.run_clustering``:
+# its per-layer metrics read as zero for a stage that is called past it.
+_STAGES = ("corpus.tfidf_weight", "corpus.word_conditionals", "pddp.pddp_run",
+           "sgem.sgem_run", "sib.sib_run")
+
+
+@pytest.mark.parametrize("algo, stop, expected", [
+    ("pddp", "fixed", {"corpus.tfidf_weight", "pddp.pddp_run"}),
+    ("pddp+sgem", "fixed", {"corpus.tfidf_weight", "pddp.pddp_run", "sgem.sgem_run"}),
+    ("sib", "fixed", {"corpus.tfidf_weight", "corpus.word_conditionals", "sib.sib_run"}),
+    ("sib", "csv", {"corpus.tfidf_weight", "corpus.word_conditionals", "pddp.pddp_run",
+                    "sib.sib_run"}),
+    ("pddp+sib", "fixed", {"corpus.tfidf_weight", "corpus.word_conditionals", "pddp.pddp_run",
+                           "sib.sib_run"}),
+])
+def test_bench_tracer_sees_each_stage_of_the_pipeline(tmp_path, algo, stop, expected):
+    prefix = tmp_path / "small"
+    write_matrix(multinomial_corpus(0, n_docs=80, vocab_size=40)[0], prefix)
+    spans_path = tmp_path / "spans.json"
+    argv = ["cluster", str(prefix), "--algo", algo, "--stop", stop, "--restarts", "2",
+            "--maxl", "3"] + (["--k", "3"] if stop == "fixed" else [])
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    run = _run_python(str(tracer), str(spans_path), repr(time.monotonic()), "--", *argv)
+    assert run.returncode == 0, run.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    (root,) = [i for i, s in enumerate(spans) if s[0] == "cli.run_clustering"]
+
+    def inside_root(i):
+        while i != -1 and i != root:
+            i = spans[i][3]
+        return i == root
+
+    found = {s[0] for i, s in enumerate(spans) if s[0] in _STAGES and inside_root(i)}
+    assert found == expected
+    assert all(inside_root(i) for i, s in enumerate(spans) if s[0] in _STAGES)

@@ -289,3 +289,10 @@ def test_sgem_cached_cross_product_equals_a_fresh_product(case, monkeypatch):
     assert trace == oracle_trace
     assert model.centroids.tobytes() == centroids.tobytes()
     assert model.sigma2 == sigma2
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -5.0])
+def test_sgem_run_rejects_non_finite_or_negative_delta(delta):
+    X, labels = two_gaussians(0, n=40)
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        sgem_run(Partition(labels, 2), X, delta=delta)

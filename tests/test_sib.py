@@ -11,6 +11,7 @@ from oracles import (
     best_bipartition_information,
     cluster_stats_from_scratch,
     information_of_assignment,
+    sib_run_branches,
 )
 from textpart import JointDistribution
 from textpart.sib import (
@@ -271,3 +272,43 @@ def test_sib_run_returns_exactly_k_nonempty_clusters(n, m, data, seed):
     if len(set(init)) == k:  # refinement mode starts from a partition with no empty cluster
         refined = sib_run(joint, k, max_loops=3, seed=seed, init=np.array(init))
         assert np.all(np.bincount(refined.assignment, minlength=k) > 0)
+
+
+# --- one loop over starts, checked against the separate init path -----------
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("joint_seed", [0, 5])
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+@pytest.mark.parametrize("max_loops, eps", [(50, 0.0), (2, 0.0), (50, 0.1), (1, 0.3)])
+@pytest.mark.parametrize("with_init", [False, True])
+def test_sib_run_matches_branching_oracle_bitwise(joint_seed, restarts, max_loops, eps, with_init):
+    joint = random_joint(40, 12, seed=joint_seed)
+    k = 5
+    init = np.arange(40) % k if with_init else None
+    kwargs = dict(n_restarts=restarts, max_loops=max_loops, eps=eps, seed=joint_seed + 7, init=init)
+    want = sib_run_branches(joint, k, **kwargs)
+    got = sib_run(joint, k, **kwargs)
+    assert got.k == want.k
+    assert got.assignment.dtype == want.assignment.dtype
+    for field in ("assignment", "pt", "py_given_t", "score"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+
+
+@pytest.mark.parametrize("k", [None, 0, 5, 2.0, "2"])
+def test_sib_rejects_k_that_is_not_an_integer_in_range(k):
+    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 4\]"):
+        sib_run(random_joint(4, 3, seed=1), k)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sib_run_ties_go_to_the_first_restart(seed):
+    # Four pairs of identical one-word documents with dyadic masses: every
+    # restart that pairs them up scores exactly the same, whatever its labels.
+    joint = JointDistribution(np.full(8, 1 / 8), sp.csr_array(np.eye(4)[np.arange(8) // 2]))
+    want = sib_run_branches(joint, 4, n_restarts=4, seed=seed)
+    got = sib_run(joint, 4, n_restarts=4, seed=seed)
+    assert _bits(got.assignment) == _bits(want.assignment)
+    assert got.score == want.score
