@@ -11,7 +11,7 @@ from .corpus import (
     tokenize,
     word_conditionals,
 )
-from .evaluate import Contingency, nmi
+from .evaluate import nmi
 from .linalg import (
     ClusterStats,
     ConvergenceError,
@@ -41,7 +41,6 @@ __all__ = [
     "BICScore",
     "ClusterStats",
     "ClusterTree",
-    "Contingency",
     "ConvergenceError",
     "DegenerateClusterError",
     "EmptyCorpusError",

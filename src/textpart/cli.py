@@ -47,6 +47,9 @@ from .sib import sib_run
 PIPELINE_PARAMS = {"pddp": (), "pddp+sgem": ("delta",), "sib": ("restarts", "maxl", "eps"),
                    "pddp+sib": ("maxl", "eps")}
 ALGOS = tuple(PIPELINE_PARAMS)
+# The least value of each integer flag with a lower bound only; a subcommand
+# without the flag skips its check.
+_INT_FLAG_LEAST = {"min_count": 1, "restarts": 1, "maxl": 1, "seed": 0}
 
 
 def _subset_docs(m: TermDocMatrix, keep_ids: set[str]) -> TermDocMatrix:
@@ -225,15 +228,14 @@ def _validate_cluster_flags(parser: argparse.ArgumentParser, args: argparse.Name
         parser.error("--eps must be in [0, 1)")
     if args.delta is not None and not 0.0 <= args.delta < np.inf:
         parser.error("--delta must be finite and >= 0")
-    if args.restarts < 1:
-        parser.error("--restarts must be >= 1")
-    if args.maxl < 1:
-        parser.error("--maxl must be >= 1")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, least in _INT_FLAG_LEAST.items():
+        if getattr(args, name, least) < least:
+            parser.error(f"--{name.replace('_', '-')} must be >= {least}")
     if args.command == "cluster":
         _validate_cluster_flags(parser, args)
     try:

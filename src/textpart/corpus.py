@@ -15,7 +15,11 @@ File formats handled here:
 * sparse matrix: first line ``n_docs n_terms nnz``, then one
   ``doc_index term_index value`` line per entry (0-based, whitespace-separated),
   with companion ``.vocab`` (one term per line) and ``.docs`` (one doc_id
-  per line) files;
+  per line) files. ``read_matrix`` reads the ``.mat`` file in one pass of
+  chunks: ``np.loadtxt`` parses each chunk, and only a chunk it declines is
+  parsed line by line with ``str.split``, ``int`` and ``float``, so the
+  accepted files, the faults and the matrix bits are those of a plain
+  line-by-line reader;
 * labels: one category string per document, same order as ``.docs``.
 """
 
@@ -27,10 +31,13 @@ import warnings
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from .linalg import row_sq_norms
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -62,13 +69,6 @@ class TermDocMatrix:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
-
-    def validate(self) -> None:
-        m = self.matrix
-        if m.shape != (len(self.doc_ids), len(self.vocab)):
-            raise ValueError("matrix shape disagrees with vocab/doc_ids")
-        if m.nnz and m.data.min() < 0:
-            raise ValueError("negative entry in term-document matrix")
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def tfidf_weight(m: TermDocMatrix) -> tuple[TermDocMatrix, list[str]]:
     weighted = sp.csr_array(counts.multiply(idf[None, :]))
     weighted.eliminate_zeros()
 
-    row_norms = np.sqrt(np.asarray(weighted.multiply(weighted).sum(axis=1)).ravel())
+    row_norms = np.sqrt(row_sq_norms(weighted))
     keep = row_norms > 0
     dropped = [m.doc_ids[i] for i in np.nonzero(~keep)[0]]
     weighted = weighted[keep]
@@ -296,20 +296,23 @@ def write_matrix(m: TermDocMatrix, prefix: str | Path) -> None:
 def read_matrix(prefix: str | Path) -> TermDocMatrix:
     """Read the three files written by ``write_matrix``.
 
-    ``np.loadtxt`` parses the entries (``_read_entries``). A file it might
-    read differently from the line-by-line reader goes to that reader
-    (``_read_entries_by_line``), which names the line of a malformed entry,
-    so both accept the same files and return the same matrix. A malformed
-    header or entry, and a header shape other than the ``.docs``/``.vocab``
-    lengths, raise a ``ValueError`` that names the ``.mat`` file; a file of
-    the three that is not valid UTF-8 raises one that names that file.
+    ``_read_entries`` parses the ``.mat`` file. Every check on its entries is
+    made here, in this order, and raises a ``ValueError`` that names the
+    ``.mat`` file: a value that is not finite, then one below zero (each
+    with its line; ``-0.0`` is accepted), an index out of range, a header
+    shape other than the ``.docs``/``.vocab`` lengths, and a repeated
+    (doc, term) pair. A ``.vocab`` or ``.docs`` file that is not valid UTF-8
+    raises one that names that file.
     """
     prefix = Path(prefix)
     mat = Path(f"{prefix}.mat")
-    n_docs, n_terms, rows, cols, vals = _read_entries(mat) or _read_entries_by_line(mat)
+    n_docs, n_terms, rows, cols, vals = _read_entries(mat)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"{mat}: non-finite value on line {bad[0] + 2}")
+    bad = np.flatnonzero(vals < 0)
+    if bad.size:
+        raise ValueError(f"{mat}: negative value on line {bad[0] + 2}")
     if vals.size:
         if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
             raise ValueError(f"{mat}: entry index out of range")
@@ -320,9 +323,7 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
         raise ValueError(f"{mat}: header shape {n_docs} x {n_terms} disagrees with "
                          f"{len(doc_ids)} doc ids and {len(vocab)} terms")
     matrix = _entries_to_csr(rows, cols, vals, (n_docs, n_terms), mat)
-    tdm = TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
-    tdm.validate()
-    return tdm
+    return TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
 
 
 # One entry line of a ``.mat`` file: doc index, term index, value.
@@ -331,8 +332,6 @@ _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 # that one chunk's line strings stay small next to the entry arrays.
 _CHUNK_CHARS = 1 << 13
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-_Entries = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _read_utf8(path: Path) -> str:
@@ -355,93 +354,104 @@ def _header(line: str, mat: Path) -> tuple[int, int, int]:
     return counts
 
 
-def _read_entries(mat: Path) -> _Entries | None:
-    """Header and entry arrays of a ``.mat`` file, parsed by ``np.loadtxt``.
+def _line_chunks(fh):
+    """The lines of ``fh`` from its position on, one list per chunk of about
+    ``_CHUNK_CHARS`` characters. Each chunk is completed to the next
+    ``"\\n"``, so its lines are the ones ``str.splitlines`` gives the whole
+    text: CRLF, a lone CR, a form feed and the other line breaks included."""
+    while chunk := fh.read(_CHUNK_CHARS):
+        yield (chunk + fh.readline()).splitlines()
 
-    The text is read in chunks that end at a ``"\\n"`` and each chunk is
-    split by ``str.splitlines``, so the lines are exactly the ones
-    ``_read_entries_by_line`` splits the whole text into. ``np.loadtxt``
-    splits fields at the same whitespace as ``str.split``, and every number
-    it parses, ``int`` and ``float`` parse to the same value. Returns None
-    where the two could still disagree: a header ``_header`` rejects or one
-    not on one line, a blank line (``np.loadtxt`` skips it), a field
-    ``np.loadtxt`` rejects (``1_0`` or a non-ASCII digit, which ``int``
-    accepts, or an index beyond int64), any warning it gives, or an entry
-    count other than the header's.
+
+def _read_entries(mat: Path) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """Header and entry arrays of a ``.mat`` file, read in one pass of chunks.
+
+    The first line is the header; the entry lines go to ``_parse_chunk`` a
+    chunk at a time. Faults raise a ``ValueError`` naming the file, in the
+    order a reader of the whole text meets them: a file that is not UTF-8,
+    a malformed header, an entry count other than the header's ``nnz``,
+    then the first malformed line. So a malformed line is only noted until
+    every line is counted, and the file is decoded whole, for the UTF-8
+    check, only on the way to raising.
     """
-    with open(mat, encoding="utf-8") as fh:
-        try:
-            # np.loadtxt warns of a chunk with no data and, before numpy 2,
-            # parses "1.0" as an integer with only a warning: decline both.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                header = fh.readline().splitlines()
-                if len(header) != 1:
-                    return None
-                n_docs, n_terms, nnz = _header(header[0], mat)
-                # Bounds the arrays below: a file of N bytes holds at most N lines.
-                if not 0 <= nnz <= os.fstat(fh.fileno()).st_size:
-                    return None
-                rows, cols = np.empty(nnz, np.int64), np.empty(nnz, np.int64)
-                vals = np.empty(nnz, np.float64)
-                done = 0
-                while chunk := fh.read(_CHUNK_CHARS):
-                    lines = (chunk + fh.readline()).splitlines()
-                    end = done + len(lines)
-                    if end > nnz:
-                        return None
-                    table = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
-                    if table.size != len(lines):
-                        return None
-                    rows[done:end], cols[done:end], vals[done:end] = table["i"], table["j"], table["v"]
-                    done = end
-        except (ValueError, Warning):
-            return None
-    return (n_docs, n_terms, rows, cols, vals) if done == nnz else None
-
-
-def _read_entries_by_line(mat: Path) -> _Entries:
-    """Header and entry arrays of a ``.mat`` file, read one line at a time.
-
-    Raises a ``ValueError`` naming the file, and the line of a malformed
-    entry, for a file that is not one header plus ``nnz`` entry lines.
-    """
-    text = _read_utf8(mat).splitlines()
-    if not text:
-        raise ValueError(f"{mat} is empty")
-    n_docs, n_terms, nnz = _header(text[0], mat)
-    if len(text) - 1 != nnz:
-        raise ValueError(f"{mat}: expected {nnz} entries, found {len(text) - 1}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
     try:
-        for p, line in enumerate(text[1:]):
+        # np.loadtxt warns of a chunk with no data and, before numpy 2, parses
+        # "1.0" as an integer with only a warning: as errors, both make
+        # _parse_chunk decline the chunk. The per-line parse warns of nothing.
+        with open(mat, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunks = _line_chunks(fh)
+            lines = next(chunks, [])
+            if not lines:
+                raise ValueError(f"{mat} is empty")
+            n_docs, n_terms, nnz = _header(lines.pop(0), mat)
+            # A file of N bytes holds at most N lines, so a larger nnz is a
+            # count fault: nothing is allocated and the lines are only counted.
+            cap = nnz if nnz <= os.fstat(fh.fileno()).st_size else 0
+            rows, cols, vals = np.empty(cap, np.int64), np.empty(cap, np.int64), np.empty(cap)
+            done, fault = 0, None
+            for lines in chain([lines], chunks):
+                end = done + len(lines)
+                if fault is None and end <= cap:
+                    fault = _parse_chunk(lines, rows[done:end], cols[done:end], vals[done:end], done + 2)
+                done = end
+        if done != nnz:
+            raise ValueError(f"{mat}: expected {nnz} entries, found {done}")
+        if fault is not None:
+            raise ValueError(f"{mat}: {fault}")
+    except ValueError:  # UnicodeDecodeError is one
+        _read_utf8(mat)  # a file that is not UTF-8 reports that before any other fault
+        raise
+    return n_docs, n_terms, rows, cols, vals
+
+
+def _parse_chunk(lines: list[str], rows, cols, vals, line_no: int) -> str | None:
+    """Parse entry ``lines``, the first of them line ``line_no`` of the file,
+    into the arrays ``rows``, ``cols`` and ``vals`` of their length.
+
+    ``np.loadtxt`` splits fields at the same whitespace as ``str.split``,
+    and every number it parses, ``int`` and ``float`` parse to the same
+    value. The chunk goes to ``_parse_by_line`` where the two could
+    disagree: a blank line (``np.loadtxt`` skips it), a field ``np.loadtxt``
+    rejects (``1_0`` or a non-ASCII digit, which ``int`` accepts, or an index
+    beyond int64) and any warning it gives, which the caller makes an
+    error. Returns the fault of the first malformed line, or None.
+    """
+    try:
+        table = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        table = None
+    if table is None or table.size != len(lines):
+        return _parse_by_line(lines, rows, cols, vals, line_no)
+    rows[:], cols[:], vals[:] = table["i"], table["j"], table["v"]
+    return None
+
+
+def _parse_by_line(lines: list[str], rows, cols, vals, line_no: int) -> str | None:
+    """``_parse_chunk`` one line at a time, by ``str.split``, ``int`` and ``float``."""
+    try:
+        for p, line in enumerate(lines):
             i_s, j_s, v_s = line.split()
             rows[p], cols[p], vals[p] = int(i_s), int(j_s), float(v_s)
     except (ValueError, OverflowError) as exc:  # OverflowError: an index beyond int64
-        raise ValueError(f"{mat}: malformed entry on line {p + 2}: {line!r} ({exc})") from exc
-    return n_docs, n_terms, rows, cols, vals
+        return f"malformed entry on line {line_no + p}: {line!r} ({exc})"
+    return None
 
 
 def _entries_to_csr(rows, cols, vals, shape: tuple[int, int], mat: Path) -> sp.csr_array:
     """The CSR matrix of in-range entries; rejects a repeated (doc, term) pair.
 
-    Pairs are compared, never combined into one key, so no product can
-    overflow. Entries in strictly row-major order, as ``write_matrix``
-    writes them, cannot repeat and already are the CSR indices and data.
+    Entries not in strictly row-major order (``write_matrix`` writes them
+    so) are put in that order by a ``lexsort``; then neighbouring pairs are
+    compared, never combined into one key, so no product can overflow. The
+    row-major ``cols`` and ``vals`` are the CSR indices and data.
     """
     r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
-    row_major = bool(np.all((r0 < r1) | ((r0 == r1) & (c0 < c1))))
-    if not row_major:
+    if not np.all((r0 < r1) | ((r0 == r1) & (c0 < c1))):
         order = np.lexsort((cols, rows))
-        r, c = rows[order], cols[order]
-        if np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
             raise ValueError(f"{mat}: duplicate (doc, term) entry")
-    elif rows.size:
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        return sp.csr_array((vals, cols, indptr), shape=shape)
-    matrix = sp.csr_array((vals, (rows, cols)), shape=shape, dtype=np.float64)
-    matrix.sort_indices()
-    return matrix
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_array((vals, cols, indptr), shape=shape)

@@ -131,12 +131,6 @@ class ClusterStats:
         return int(self.members.shape[0])
 
 
-def total_scatter_sq(rows, center: np.ndarray, *, sq_norms: np.ndarray | None = None) -> float:
-    """Sum of squared distances to ``center`` (the covariance trace times n);
-    ``sq_norms``, if given, must be ``row_sq_norms(rows)``."""
-    return float(sq_distances(rows, center, sq_norms=sq_norms)[:, 0].sum())
-
-
 def _constant_columns(rows, rows_t) -> np.ndarray:
     """Boolean mask of the columns that take one value over all rows.
 
@@ -180,8 +174,9 @@ def principal_direction(rows, seed=0, *, center: np.ndarray | None = None,
 
     A caller that already holds the row set's statistics passes them:
     ``center`` (``centroid(rows)``), ``sq_norms`` (``row_sq_norms(rows)``)
-    and ``sse`` (``total_scatter_sq(rows, center)``, which is
-    ``ClusterStats.sse``). Each is computed when omitted.
+    and ``sse`` (the sum of squared distances to ``center``, the covariance
+    trace times n, which is ``ClusterStats.sse``). Each is computed when
+    omitted.
 
     Raises ``DegenerateClusterError`` when all rows coincide (zero
     covariance), which callers treat as "this cluster cannot be split", and
@@ -194,7 +189,7 @@ def principal_direction(rows, seed=0, *, center: np.ndarray | None = None,
     w = centroid(rows) if center is None else center
     norms = row_sq_norms(rows) if sq_norms is None else sq_norms
     scale = float(norms.max()) if norms.size else 0.0
-    total = total_scatter_sq(rows, w, sq_norms=norms) if sse is None else sse
+    total = float(sq_distances(rows, w, sq_norms=norms)[:, 0].sum()) if sse is None else sse
     if total <= _DEGENERATE_REL_TOL * n * max(scale, 1e-300):
         raise DegenerateClusterError("degenerate cluster: all rows identical")
 

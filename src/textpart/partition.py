@@ -34,8 +34,5 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
 
-    def members(self, j: int) -> np.ndarray:
-        return np.nonzero(self.labels == j)[0]
-
     def n_nonempty(self) -> int:
         return int((self.sizes() > 0).sum())

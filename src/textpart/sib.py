@@ -144,8 +144,7 @@ class SibState:
         cum = np.concatenate([[0.0], np.cumsum(xlogy(self._data, self._data))])
         self._doc_entropy_term = cum[self._indptr[1:]] - cum[self._indptr[:-1]]
 
-        self.pt = np.zeros(k)
-        np.add.at(self.pt, assignment, self.px)
+        self.pt = np.bincount(assignment, weights=self.px, minlength=k)
         self.word_mass, self.sizes = cluster_sums(rows, assignment, k)
 
         py = joint.py()

@@ -178,7 +178,10 @@ def read_matrix_lines(prefix):
     they used to escape as an unnamed ``ValueError``, an ``OverflowError``
     or a ``MemoryError``. A file that is not valid UTF-8 raises a
     ``ValueError`` naming it; it used to escape as a bare
-    ``UnicodeDecodeError``."""
+    ``UnicodeDecodeError``. A negative value raises a ``ValueError`` naming
+    the file and its line, checked right after the non-finite values; it
+    used to be checked last, by a ``TermDocMatrix`` method whose message
+    named no file."""
     from pathlib import Path
 
     from textpart.corpus import TermDocMatrix
@@ -215,6 +218,9 @@ def read_matrix_lines(prefix):
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"{prefix}.mat: non-finite value on line {bad[0] + 2}")
+    bad = np.flatnonzero(vals < 0)
+    if bad.size:
+        raise ValueError(f"{prefix}.mat: negative value on line {bad[0] + 2}")
     if nnz:
         if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
             raise ValueError(f"{prefix}.mat: entry index out of range")
@@ -227,9 +233,7 @@ def read_matrix_lines(prefix):
         raise ValueError(f"{prefix}.mat: duplicate (doc, term) entry")
     matrix = sp.csr_array((vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64)
     matrix.sort_indices()
-    tdm = TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
-    tdm.validate()
-    return tdm
+    return TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
 
 
 def mat_text_by_entry(m) -> str:

@@ -258,6 +258,8 @@ def test_eval_length_mismatch_fails(tmp_path, capsys):
     ["cluster", "p", "--algo", "pddp", "--stop", "csv", "--k", "3"],  # k only with fixed
     ["cluster", "p", "--algo", "pddp", "--stop", "fixed", "--k", "2", "--eps", "1.5"],
     ["cluster", "p", "--algo", "nosuch", "--stop", "fixed", "--k", "2"],
+    ["ingest", "in.txt", "--output", "p", "--min-count", "0"],
+    ["cluster", "p", "--algo", "pddp", "--stop", "fixed", "--k", "2", "--seed", "-1"],
 ])
 def test_invalid_flag_combinations_exit_2(argv):
     with pytest.raises(SystemExit) as err:
@@ -289,7 +291,7 @@ def test_cli_import_leaves_out_sparse_linalg():
     assert run.returncode == 0, run.stderr
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
 def test_cluster_rejects_non_finite_matrix_value(tmp_path, capsys, value):
     prefix = tmp_path / "bad"
     (tmp_path / "bad.mat").write_text(f"3 2 3\n0 0 1.0\n1 1 {value}\n2 0 2.0\n",

@@ -398,7 +398,7 @@ def test_read_matrix_matches_line_reader_on_corpora(tmp_path, name):
 def test_read_matrix_parses_written_files_without_the_line_reader(tmp_path, monkeypatch):
     tdm, _ = multinomial_corpus(2)
     write_matrix(tdm, tmp_path / "m")
-    monkeypatch.setattr(corpus_mod, "_read_entries_by_line", None)
+    monkeypatch.setattr(corpus_mod, "_parse_by_line", None)
     assert np.array_equal(read_matrix(tmp_path / "m").matrix.toarray(), tdm.matrix.toarray())
 
 
@@ -471,8 +471,8 @@ def test_read_matrix_matches_line_reader_on_edge_cases(tmp_path, mat):
     _assert_same_as_line_reader(_write_raw(tmp_path, mat))
 
 
-# What each header or overflow fault of ``_MAT_CASES`` raises: a ValueError
-# that names the file and, where there is one, the line.
+# What each header, overflow or value fault of ``_MAT_CASES`` raises: a
+# ValueError that names the file and, where there is one, the line.
 _FAULTS = {
     "header-two-fields": "malformed header on line 1: '3 2'",
     "header-not-integers": "malformed header on line 1: 'a b c'",
@@ -488,6 +488,7 @@ _FAULTS = {
     "header-beyond-docs-file": "header shape 100000000000 x 2 disagrees with 3 doc ids and 2 terms",
     "header-beyond-vocab-file": "header shape 3 x 3 disagrees with 3 doc ids and 2 terms",
     "invalid-utf8": "not valid UTF-8 ('utf-8' codec can't decode byte 0xff in position 13",
+    "negative-value": "negative value on line 2",
 }
 
 
@@ -513,10 +514,16 @@ def test_read_matrix_splits_fields_like_str_split(tmp_path, sep):
     (4001, None, "malformed entry on line 4001: ''"),
     (2500, b" x", "malformed entry on line 2500: '2498 6 1.5 x'"),
     (3999, b"\x0c", "expected 4000 entries, found 4001"),
+    # Only ``float`` reads "1.5_0", so line 2000's chunk is parsed line by
+    # line and accepted; the fault on line 3500 is met in a later chunk.
+    pytest.param((2000, 3500), (b"_0", b" x"), "malformed entry on line 3500: '3498 5 1.5 x'",
+                 id="per-line-chunk-then-fault"),
 ])
 def test_read_matrix_matches_line_reader_past_the_first_chunk(tmp_path, line, defect, message):
     body = [b"%d %d 1.5" % (i, i % 7) for i in range(4000)]
-    body[line - 2] = b"" if defect is None else body[line - 2] + defect
+    lines, defects = (line, defect) if isinstance(line, tuple) else ((line,), (defect,))
+    for n, d in zip(lines, defects):
+        body[n - 2] = b"" if d is None else body[n - 2] + d
     mat = b"4000 7 4000\n" + b"\n".join(body) + b"\n"
     _, text = _assert_same_as_line_reader(_write_raw(tmp_path, mat, n_docs=4000, n_terms=7))
     assert message in text

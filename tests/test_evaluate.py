@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from textpart.evaluate import Contingency, nmi
+from textpart.evaluate import nmi
 from textpart.partition import Partition
 
 
@@ -77,14 +77,6 @@ def test_matches_sklearn_geometric_nmi():
             continue
         ref = sklearn_metrics.normalized_mutual_info_score(b, a, average_method="geometric")
         assert nmi(a, b) == pytest.approx(ref, abs=1e-9)
-
-
-def test_contingency_counts_and_marginals():
-    table = Contingency.from_pairs(["a", "a", "b", "b", "b"], [0, 1, 0, 0, 1])
-    assert table.n == 5
-    assert table.counts.sum() == 5
-    assert table.category_totals().tolist() == [2, 3]
-    assert table.cluster_totals().tolist() == [3, 2]
 
 
 # --- properties ----------------------------------------------------------------
