@@ -22,7 +22,7 @@ from .linalg import (
 )
 from .model_select import BICScore, bic_score, bic_split_test, csv, csv_stop, param_count
 from .partition import Partition
-from .pddp import ClusterTree, NoSplittableLeafError, pddp_run, select_leaf, split_cluster
+from .pddp import ClusterTree, pddp_run, select_leaf, split_cluster
 from .sgem import SGemModel, complete_log_likelihood, e_step, m_step, sgem_run
 from .sib import (
     IBPartition,
@@ -46,7 +46,6 @@ __all__ = [
     "EmptyCorpusError",
     "IBPartition",
     "JointDistribution",
-    "NoSplittableLeafError",
     "Partition",
     "SGemModel",
     "SibState",

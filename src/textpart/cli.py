@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 from . import report as report_mod
 from .corpus import (
-    EmptyCorpusError,
     TermDocMatrix,
     build_matrix,
     read_corpus_dir,
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--stop-words", help="file with one stop word per line")
     p_ing.add_argument("--min-count", type=int, default=2,
                        help="minimum corpus-wide term count (default 2)")
-    p_ing.set_defaults(func=_cmd_ingest)
+    p_ing.set_defaults(func=_cmd_ingest, parser=p_ing)
 
     p_clu = sub.add_parser("cluster", help="run a clustering pipeline and write a report")
     p_clu.add_argument("prefix", help="matrix file prefix written by ingest")
@@ -210,37 +209,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_clu.add_argument("--weighting", choices=("tfidf", "none"), default="tfidf",
                        help="'none' clusters the stored values as-is (synthetic vectors)")
     p_clu.add_argument("--output", help="report path (default: <prefix>.report)")
-    p_clu.set_defaults(func=_cmd_cluster)
+    p_clu.set_defaults(func=_cmd_cluster, parser=p_clu)
 
     p_eval = sub.add_parser("eval", help="score a report against gold labels")
     p_eval.add_argument("report")
     p_eval.add_argument("labels", help="one category per document, .docs order")
-    p_eval.set_defaults(func=_cmd_eval)
+    p_eval.set_defaults(func=_cmd_eval, parser=p_eval)
     return parser
 
 
-def _validate_cluster_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _validate_cluster_flags(args: argparse.Namespace) -> None:
     if args.stop == "fixed" and (args.k is None or args.k < 1):
-        parser.error("--stop fixed requires --k >= 1")
+        args.parser.error("--stop fixed requires --k >= 1")
     if args.stop != "fixed" and args.k is not None:
-        parser.error("--k is only valid with --stop fixed")
+        args.parser.error("--k is only valid with --stop fixed")
     if not 0.0 <= args.eps < 1.0:
-        parser.error("--eps must be in [0, 1)")
+        args.parser.error("--eps must be in [0, 1)")
     if args.delta is not None and not 0.0 <= args.delta < np.inf:
-        parser.error("--delta must be finite and >= 0")
+        args.parser.error("--delta must be finite and >= 0")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # A flag error prints the usage of the subcommand that owns the flag.
     for name, least in _INT_FLAG_LEAST.items():
         if getattr(args, name, least) < least:
-            parser.error(f"--{name.replace('_', '-')} must be >= {least}")
+            args.parser.error(f"--{name.replace('_', '-')} must be >= {least}")
     if args.command == "cluster":
-        _validate_cluster_flags(parser, args)
+        _validate_cluster_flags(args)
     try:
         return args.func(args)
-    except (ValueError, EmptyCorpusError, OSError, ConvergenceError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"textpart: error: {exc}", file=sys.stderr)
         return 1
 

@@ -240,7 +240,7 @@ def word_conditionals(m: TermDocMatrix) -> JointDistribution:
 
 def read_stop_words(path: str | Path) -> frozenset[str]:
     """One term per line; blank lines ignored."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_utf8(Path(path)).splitlines()
     return frozenset(t.strip() for t in lines if t.strip())
 
 
@@ -249,18 +249,18 @@ def read_corpus_dir(path: str | Path) -> tuple[list[str], list[str]]:
     files = sorted(p for p in Path(path).iterdir() if p.suffix == ".txt" and p.is_file())
     if not files:
         raise EmptyCorpusError(f"no .txt files in {path}")
-    return [p.read_text(encoding="utf-8") for p in files], [p.name for p in files]
+    return [_read_utf8(p) for p in files], [p.name for p in files]
 
 
 def read_corpus_lines(path: str | Path) -> tuple[list[str], list[str]]:
     """One document per line; doc ids are 1-based line numbers."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_utf8(Path(path)).splitlines()
     return lines, [str(i + 1) for i in range(len(lines))]
 
 
 def read_labels(path: str | Path) -> list[str]:
     """One category string per line, aligned with the ``.docs`` file."""
-    return [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
+    return [ln.strip() for ln in _read_utf8(Path(path)).splitlines()]
 
 
 # Entries ``write_matrix`` formats per write.

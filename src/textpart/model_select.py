@@ -105,16 +105,13 @@ def bic_split_test(sizes, sse, parent: ClusterStats, left: ClusterStats,
     return global_after.value > global_before.value
 
 
-def csv(tree) -> float:
+def csv(leaves) -> float:
     """Scatter of the leaf centroids treated as data vectors."""
-    leaves = tree.leaves()
     centers = np.stack([leaf.stats.centroid for leaf in leaves])
     return scatter_value(centers, centroid(centers))
 
 
-def csv_stop(tree) -> bool:
-    """True once the CSV exceeds the maximum leaf scatter (never at one leaf)."""
-    leaves = tree.leaves()
-    if len(leaves) < 2:
-        return False
-    return csv(tree) > max(leaf.scatter for leaf in leaves)
+def csv_stop(leaves) -> bool:
+    """True once the CSV of the leaves (``tree.leaves()``) exceeds their
+    maximum scatter; never at one leaf."""
+    return len(leaves) >= 2 and csv(leaves) > max(leaf.scatter for leaf in leaves)

@@ -23,17 +23,12 @@ from .partition import Partition
 STOP_RULES = ("fixed", "csv", "bic")
 
 
-class NoSplittableLeafError(LookupError):
-    """Every leaf is final or has fewer than two members."""
-
-
 @dataclass
 class TreeNode:
     node_id: int
     parent: int | None
     depth: int
     stats: ClusterStats
-    direction: np.ndarray | None = None
     left: int | None = None
     right: int | None = None
     final: bool = False  # marked unsplittable / split rejected
@@ -63,7 +58,7 @@ class ClusterTree:
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for nd in self.nodes if nd.is_leaf)
+        return len(self.leaves())
 
     def partition(self) -> Partition:
         """Leaves numbered in creation (node id) order."""
@@ -104,17 +99,14 @@ def split_cluster(members, matrix, seed=0, *, center: np.ndarray | None = None,
     return left, right, u
 
 
-def select_leaf(tree: ClusterTree) -> int:
-    """Id of the splittable leaf with maximum scatter; ties take the smallest id."""
+def select_leaf(leaves: list[TreeNode]) -> TreeNode | None:
+    """The splittable leaf with maximum scatter, ties to the first; ``None``
+    when every leaf is final or has fewer than two members."""
     best: TreeNode | None = None
-    for nd in tree.nodes:
-        if not nd.is_leaf or nd.final or nd.members.size < 2:
-            continue
-        if best is None or nd.scatter > best.scatter:
+    for nd in leaves:
+        if not nd.final and nd.members.size >= 2 and (best is None or nd.scatter > best.scatter):
             best = nd
-    if best is None:
-        raise NoSplittableLeafError("exhausted")
-    return best.node_id
+    return best
 
 
 def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -> ClusterTree:
@@ -125,9 +117,10 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
     scatter; ``"bic"`` accepts a split only when both the local and the
     global BIC improve, and stops when no acceptable split remains.
 
-    Unsplittable leaves (identical rows) are marked final and skipped. If
-    the leaves run out before a fixed/CSV rule fires, the tree is returned
-    with ``warning`` set.
+    Leaf selection and every stopping rule read one list of the current
+    leaves, kept in node-id order as the tree grows. Unsplittable leaves
+    (identical rows) are marked final and skipped. If the leaves run out
+    before a fixed/CSV rule fires, the tree is returned with ``warning`` set.
     """
     n = matrix.shape[0]
     if n < 2:
@@ -139,9 +132,8 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
             raise ValueError("fixed stopping needs k >= 1")
     rng = np.random.default_rng(seed)
 
-    tree = ClusterTree()
     root_stats = ClusterStats.from_rows(matrix, np.arange(n, dtype=np.intp))
-    tree.nodes.append(TreeNode(0, None, 0, root_stats))
+    tree = ClusterTree([TreeNode(0, None, 0, root_stats)])
     # A split takes its node's centroid and sse from the node's ClusterStats
     # and its rows' norms from this array, and re-slices the rows. The array
     # is made after the root's stats: made first, it sat above their
@@ -149,34 +141,35 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
     # on a 20k x 2k tf-idf matrix).
     sq_norms = row_sq_norms(matrix)
 
+    # The current leaves in node-id order: a split removes its node and
+    # appends its two children, which take the next two ids.
+    leaves = tree.nodes[:]
     while True:
-        if stop == "fixed" and tree.n_leaves >= k:
+        if stop == "fixed" and len(leaves) >= k:
             break
-        if stop == "csv" and tree.n_leaves >= 2 and model_select.csv_stop(tree):
+        if stop == "csv" and model_select.csv_stop(leaves):
             break
-        try:
-            nid = select_leaf(tree)
-        except NoSplittableLeafError:
+        node = select_leaf(leaves)
+        if node is None:
             if stop in ("fixed", "csv"):
                 tree.warning = True  # rule never fired
             break
-        node = tree.nodes[nid]
         try:
-            left, right, u = split_cluster(node.members, matrix, rng, center=node.stats.centroid,
+            left, right, _ = split_cluster(node.members, matrix, rng, center=node.stats.centroid,
                                            sq_norms=sq_norms, sse=node.stats.sse)
         except DegenerateClusterError:
             node.final = True
             continue
         children = [ClusterStats.from_rows(matrix, side, sq_norms=sq_norms) for side in (left, right)]
-        if stop == "bic":
-            others = [leaf.stats for leaf in tree.leaves() if leaf.node_id != nid]
-            if not model_select.bic_split_test(
-                    [s.size for s in others], [s.sse for s in others], node.stats, *children):
-                node.final = True
-                continue
-        node.direction = u
+        others = [leaf for leaf in leaves if leaf is not node]
+        if stop == "bic" and not model_select.bic_split_test(
+                [leaf.stats.size for leaf in others], [leaf.stats.sse for leaf in others],
+                node.stats, *children):
+            node.final = True
+            continue
         for stats in children:
-            tree.nodes.append(TreeNode(len(tree.nodes), nid, node.depth + 1, stats))
-        node.left = tree.nodes[-2].node_id
-        node.right = tree.nodes[-1].node_id
+            tree.nodes.append(TreeNode(len(tree.nodes), node.node_id, node.depth + 1, stats))
+            others.append(tree.nodes[-1])
+        leaves = others
+        node.left, node.right = len(tree.nodes) - 2, len(tree.nodes) - 1
     return tree

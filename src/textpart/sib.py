@@ -32,6 +32,7 @@ from scipy.special import xlogy
 
 from .corpus import JointDistribution
 from .linalg import cluster_sums
+from .partition import Partition
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -125,7 +126,7 @@ class SibState:
 
     def __init__(self, joint: JointDistribution, assignment: np.ndarray, k: int):
         n = joint.n_docs
-        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment = Partition(assignment, k).labels  # raises on a label outside [0, k)
         if assignment.shape != (n,):
             raise ValueError("assignment length does not match joint")
         if np.any(np.bincount(assignment, minlength=k) == 0):

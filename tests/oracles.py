@@ -300,9 +300,12 @@ def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: 
     split re-slices its node's rows and computes their centroid three times
     (node stats, split, eigen-solve), their row norms twice and their
     residual twice. The eigen-solve is the Lanczos loop of that version,
-    copied verbatim. It uses the package's tree types, row primitives and
-    stopping rules (checked on their own elsewhere), so its tree can be
-    compared with ``pddp_run``'s node for node, bit for bit.
+    copied verbatim. It uses the package's tree types, row primitives,
+    ``select_leaf`` and stopping rules (checked on their own elsewhere), so
+    its tree can be compared with ``pddp_run``'s node for node, bit for bit.
+    Before each split it derives the leaves afresh with ``tree.leaves()``,
+    so that comparison also checks the leaf list ``pddp_run`` keeps as the
+    tree grows against a scan of every node.
     """
     from textpart import model_select
     from textpart.linalg import (
@@ -317,7 +320,7 @@ def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: 
         row_sq_norms,
         sq_distances,
     )
-    from textpart.pddp import ClusterTree, NoSplittableLeafError, TreeNode, select_leaf
+    from textpart.pddp import ClusterTree, TreeNode, select_leaf
 
     def stats_from_rows(members):
         members = np.asarray(members, dtype=np.intp)
@@ -404,30 +407,29 @@ def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: 
     tree = ClusterTree()
     tree.nodes.append(TreeNode(0, None, 0, stats_from_rows(np.arange(n, dtype=np.intp))))
     while True:
-        if stop == "fixed" and tree.n_leaves >= k:
+        leaves = tree.leaves()
+        if stop == "fixed" and len(leaves) >= k:
             break
-        if stop == "csv" and tree.n_leaves >= 2 and model_select.csv_stop(tree):
+        if stop == "csv" and model_select.csv_stop(leaves):
             break
-        try:
-            nid = select_leaf(tree)
-        except NoSplittableLeafError:
+        node = select_leaf(leaves)
+        if node is None:
             if stop in ("fixed", "csv"):
                 tree.warning = True  # rule never fired
             break
-        node = tree.nodes[nid]
+        nid = node.node_id
         try:
-            left, right, u = split_cluster(node.members, rng)
+            left, right, _ = split_cluster(node.members, rng)
         except DegenerateClusterError:
             node.final = True
             continue
         children = [stats_from_rows(side) for side in (left, right)]
         if stop == "bic":
-            others = [leaf.stats for leaf in tree.leaves() if leaf.node_id != nid]
+            others = [leaf.stats for leaf in leaves if leaf.node_id != nid]
             if not model_select.bic_split_test(
                     [s.size for s in others], [s.sse for s in others], node.stats, *children):
                 node.final = True
                 continue
-        node.direction = u
         for stats in children:
             tree.nodes.append(TreeNode(len(tree.nodes), nid, node.depth + 1, stats))
         node.left = tree.nodes[-2].node_id

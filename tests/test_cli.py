@@ -267,6 +267,45 @@ def test_invalid_flag_combinations_exit_2(argv):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "p", "--algo", "pddp", "--stop", "fixed", "--k", "2", "--seed", "-1"],
+    ["ingest", "in.txt", "--output", "p", "--min-count", "0"],
+])
+def test_flag_bound_error_prints_the_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: textpart {argv[0]} ")
+
+
+@pytest.mark.parametrize("bad", ["labels", "stop-words", "corpus-lines", "corpus-dir"])
+def test_cli_names_a_text_input_that_is_not_utf8(tmp_path, capsys, bad):
+    from textpart.report import RunReport, write_report
+
+    corpus = _make_corpus_dir(tmp_path)
+    lines = tmp_path / "docs.txt"
+    lines.write_text(f"{DOC_A}\n{DOC_B}\n", encoding="utf-8")
+    stop_words = tmp_path / "stop.txt"
+    stop_words.write_text("the\n", encoding="utf-8")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("A\nB\n", encoding="utf-8")
+    path = {"labels": labels, "stop-words": stop_words, "corpus-lines": lines,
+            "corpus-dir": corpus / "b.txt"}[bad]
+    path.write_bytes(b"\xff" + path.read_bytes())
+    if bad == "labels":
+        rep = RunReport(algorithm="pddp", seed=0, params=[("stop", "fixed"), ("k", "2")],
+                        k_found=2, time_seconds=0.0, assignments=[("1", 0), ("2", 1)])
+        write_report(rep, tmp_path / "run.report")
+        argv = ["eval", str(tmp_path / "run.report"), str(labels)]
+    else:
+        argv = ["ingest", str(lines if bad == "corpus-lines" else corpus),
+                "--output", str(tmp_path / "out"), "--stop-words", str(stop_words)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"textpart: error: {path}: not valid UTF-8 (")
+    assert "Traceback" not in err
+
+
 def _run_python(*args):
     """Run the interpreter on ``args`` with this process's textpart importable."""
     src = str(Path(textpart.__file__).resolve().parent.parent)

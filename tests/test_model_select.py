@@ -194,7 +194,7 @@ def test_bic_split_test_matches_full_partition_scores():
 def test_csv_of_symmetric_leaf_pair():
     X = np.array([[0.0], [0.0], [2.0], [2.0]])
     tree = pddp_run(X, stop="fixed", k=2, seed=0)
-    assert csv(tree) == pytest.approx(1.0)
+    assert csv(tree.leaves()) == pytest.approx(1.0)
 
 
 def test_csv_stop_two_tight_far_leaves():
@@ -203,13 +203,13 @@ def test_csv_stop_two_tight_far_leaves():
         np.random.default_rng(1).normal(scale=0.01, size=(20, 2)) + [50.0, 0.0],
     ])
     tree = pddp_run(X, stop="fixed", k=2, seed=0)
-    assert csv_stop(tree)
+    assert csv_stop(tree.leaves())
 
 
 def test_csv_stop_false_for_single_leaf():
     X = np.random.default_rng(2).normal(size=(10, 2))
     tree = pddp_run(X, stop="fixed", k=1, seed=0)
-    assert not csv_stop(tree)
+    assert not csv_stop(tree.leaves())
 
 
 def test_csv_stop_flips_at_most_once_on_two_clouds():
@@ -217,6 +217,6 @@ def test_csv_stop_flips_at_most_once_on_two_clouds():
         X, _ = two_gaussians(seed, n=300)
         # same seed means each fixed-k tree is a prefix of the next, so the
         # flag sequence replays one growing run
-        flags = [csv_stop(pddp_run(X, stop="fixed", k=k, seed=seed)) for k in range(2, 9)]
+        flags = [csv_stop(pddp_run(X, stop="fixed", k=k, seed=seed).leaves()) for k in range(2, 9)]
         flips = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
         assert flips <= 1

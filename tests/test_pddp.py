@@ -9,14 +9,7 @@ from oracles import pddp_run_recompute, top_eigvec_dense
 from textpart import nmi, pddp
 from textpart.corpus import tfidf_weight
 from textpart.linalg import ClusterStats, DegenerateClusterError
-from textpart.pddp import (
-    ClusterTree,
-    NoSplittableLeafError,
-    TreeNode,
-    pddp_run,
-    select_leaf,
-    split_cluster,
-)
+from textpart.pddp import TreeNode, pddp_run, select_leaf, split_cluster
 
 
 def test_split_cluster_one_dimensional_projection_signs():
@@ -58,31 +51,29 @@ def _leaf(node_id, members, scatter):
 
 
 def test_select_leaf_max_scatter():
-    tree = ClusterTree(nodes=[_leaf(0, [0, 1], 0.5), _leaf(1, [2, 3], 2.0)])
-    assert select_leaf(tree) == 1
+    leaves = [_leaf(0, [0, 1], 0.5), _leaf(1, [2, 3], 2.0)]
+    assert select_leaf(leaves) is leaves[1]
 
 
 def test_select_leaf_single_root():
-    tree = ClusterTree(nodes=[_leaf(0, [0, 1], 0.0)])
-    assert select_leaf(tree) == 0
+    leaves = [_leaf(0, [0, 1], 0.0)]
+    assert select_leaf(leaves) is leaves[0]
 
 
 def test_select_leaf_tie_breaks_to_smaller_id():
-    tree = ClusterTree(nodes=[_leaf(0, [0, 1], 1.0), _leaf(1, [2, 3], 1.0)])
-    assert select_leaf(tree) == 0
+    leaves = [_leaf(0, [0, 1], 1.0), _leaf(1, [2, 3], 1.0)]
+    assert select_leaf(leaves) is leaves[0]
 
 
 def test_select_leaf_skips_singletons_and_finals():
     done = _leaf(0, [0, 1], 5.0)
     done.final = True
-    tree = ClusterTree(nodes=[done, _leaf(1, [2], 9.0), _leaf(2, [3, 4], 1.0)])
-    assert select_leaf(tree) == 2
+    leaves = [done, _leaf(1, [2], 9.0), _leaf(2, [3, 4], 1.0)]
+    assert select_leaf(leaves) is leaves[2]
 
 
 def test_select_leaf_exhausted():
-    tree = ClusterTree(nodes=[_leaf(0, [0], 0.0)])
-    with pytest.raises(NoSplittableLeafError, match="exhausted"):
-        select_leaf(tree)
+    assert select_leaf([_leaf(0, [0], 0.0)]) is None
 
 
 def test_pddp_fixed_k_structure():
@@ -92,6 +83,15 @@ def test_pddp_fixed_k_structure():
     assert len(leaves) == 4
     assert sum(1 for nd in tree.nodes if not nd.is_leaf) == 3
     assert not tree.warning
+
+
+def test_pddp_run_splits_the_first_of_two_tied_leaves():
+    # the root's children have exactly equal scatter; the tie goes to the
+    # smaller node id, so the run's leaf list must stay in node-id order
+    X = np.array([[0.0], [1.0], [10.0], [11.0]])
+    tree = pddp_run(X, stop="fixed", k=3, seed=0)
+    assert tree.nodes[1].scatter == tree.nodes[2].scatter
+    assert not tree.nodes[1].is_leaf and tree.nodes[2].is_leaf
 
 
 def test_pddp_k1_is_root_only():
@@ -219,9 +219,6 @@ def _assert_same_tree(tree, oracle):
         assert a.members.tobytes() == b.members.tobytes()
         assert a.stats.centroid.tobytes() == b.stats.centroid.tobytes()
         assert (a.stats.scatter, a.stats.sse) == (b.stats.scatter, b.stats.sse)
-        assert (a.direction is None) == (b.direction is None)
-        if a.direction is not None:
-            assert a.direction.tobytes() == b.direction.tobytes()
 
 
 @pytest.mark.parametrize("stop", ["fixed", "csv", "bic"])

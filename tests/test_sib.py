@@ -303,6 +303,15 @@ def test_sib_rejects_k_that_is_not_an_integer_in_range(k):
         sib_run(random_joint(4, 3, seed=1), k)
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 1, 2], [0, 1, -1, 1]], ids=["label-k", "label-negative"])
+def test_sib_rejects_a_label_outside_range(labels):
+    joint = random_joint(4, 3, seed=1)
+    with pytest.raises(ValueError, match="cluster index out of range"):
+        SibState(joint, labels, 2)
+    with pytest.raises(ValueError, match="cluster index out of range"):
+        sib_run(joint, 2, init=np.array(labels))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sib_run_ties_go_to_the_first_restart(seed):
     # Four pairs of identical one-word documents with dyadic masses: every
