@@ -37,7 +37,7 @@ from .corpus import (
 )
 from .evaluate import nmi
 from .linalg import ConvergenceError
-from .pddp import pddp_run
+from .pddp import STOP_RULES, pddp_run
 from .sgem import sgem_run
 from .sib import sib_run
 
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clu = sub.add_parser("cluster", help="run a clustering pipeline and write a report")
     p_clu.add_argument("prefix", help="matrix file prefix written by ingest")
     p_clu.add_argument("--algo", required=True, choices=ALGOS)
-    p_clu.add_argument("--stop", required=True, choices=("fixed", "csv", "bic"))
+    p_clu.add_argument("--stop", required=True, choices=STOP_RULES)
     p_clu.add_argument("--k", type=int)
     p_clu.add_argument("--delta", type=float, help="sGEM convergence threshold")
     p_clu.add_argument("--restarts", type=int, default=10)

@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import row_sq_norms
+from .textio import read_utf8
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -99,16 +100,6 @@ class JointDistribution:
     def py(self) -> np.ndarray:
         """Word marginal p(y) = sum_x p(x) p(y|x), dense."""
         return np.asarray(self.py_given_x.T @ self.px).ravel()
-
-    def validate(self) -> None:
-        n = self.n_docs
-        if abs(float(self.px.sum()) - 1.0) > 1e-12:
-            raise ValueError("document prior does not sum to 1")
-        if n and not np.allclose(self.px, self.px[0]):
-            raise ValueError("document prior is not uniform")
-        sums = np.asarray(self.py_given_x.sum(axis=1)).ravel()
-        if n and np.abs(sums - 1.0).max() > 1e-9:
-            raise ValueError("a word-conditional row does not sum to 1")
 
 
 def tokenize(raw_text: str, stop_words: frozenset[str] | set[str] = frozenset()) -> list[str]:
@@ -240,7 +231,7 @@ def word_conditionals(m: TermDocMatrix) -> JointDistribution:
 
 def read_stop_words(path: str | Path) -> frozenset[str]:
     """One term per line; blank lines ignored."""
-    lines = _read_utf8(Path(path)).splitlines()
+    lines = read_utf8(path).splitlines()
     return frozenset(t.strip() for t in lines if t.strip())
 
 
@@ -249,18 +240,18 @@ def read_corpus_dir(path: str | Path) -> tuple[list[str], list[str]]:
     files = sorted(p for p in Path(path).iterdir() if p.suffix == ".txt" and p.is_file())
     if not files:
         raise EmptyCorpusError(f"no .txt files in {path}")
-    return [_read_utf8(p) for p in files], [p.name for p in files]
+    return [read_utf8(p) for p in files], [p.name for p in files]
 
 
 def read_corpus_lines(path: str | Path) -> tuple[list[str], list[str]]:
     """One document per line; doc ids are 1-based line numbers."""
-    lines = _read_utf8(Path(path)).splitlines()
+    lines = read_utf8(path).splitlines()
     return lines, [str(i + 1) for i in range(len(lines))]
 
 
 def read_labels(path: str | Path) -> list[str]:
     """One category string per line, aligned with the ``.docs`` file."""
-    return [ln.strip() for ln in _read_utf8(Path(path)).splitlines()]
+    return [ln.strip() for ln in read_utf8(path).splitlines()]
 
 
 # Entries ``write_matrix`` formats per write.
@@ -302,7 +293,9 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     with its line; ``-0.0`` is accepted), an index out of range, a header
     shape other than the ``.docs``/``.vocab`` lengths, and a repeated
     (doc, term) pair. A ``.vocab`` or ``.docs`` file that is not valid UTF-8
-    raises one that names that file.
+    raises one that names that file. So does a doc id that repeats an
+    earlier line of ``.docs``, checked after the header shape, since reports
+    and ``textpart eval`` identify documents by id.
     """
     prefix = Path(prefix)
     mat = Path(f"{prefix}.mat")
@@ -316,12 +309,18 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     if vals.size:
         if rows.min() < 0 or rows.max() >= n_docs or cols.min() < 0 or cols.max() >= n_terms:
             raise ValueError(f"{mat}: entry index out of range")
-    vocab = _read_utf8(Path(f"{prefix}.vocab")).splitlines()
-    doc_ids = _read_utf8(Path(f"{prefix}.docs")).splitlines()
+    vocab = read_utf8(f"{prefix}.vocab").splitlines()
+    docs = f"{prefix}.docs"
+    doc_ids = read_utf8(docs).splitlines()
     # Checked before the CSR index array of n_docs + 1 entries is allocated.
     if (n_docs, n_terms) != (len(doc_ids), len(vocab)):
         raise ValueError(f"{mat}: header shape {n_docs} x {n_terms} disagrees with "
                          f"{len(doc_ids)} doc ids and {len(vocab)} terms")
+    first_line: dict[str, int] = {}
+    for line, doc_id in enumerate(doc_ids, 1):
+        if first_line.setdefault(doc_id, line) != line:
+            raise ValueError(f"{docs}: doc id {doc_id!r} on line {line} "
+                             f"repeats line {first_line[doc_id]}")
     matrix = _entries_to_csr(rows, cols, vals, (n_docs, n_terms), mat)
     return TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
 
@@ -332,14 +331,6 @@ _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 # that one chunk's line strings stay small next to the entry arrays.
 _CHUNK_CHARS = 1 << 13
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _read_utf8(path: Path) -> str:
-    """The text of ``path``; a ``ValueError`` naming the file if it is not UTF-8."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
 def _header(line: str, mat: Path) -> tuple[int, int, int]:
@@ -400,7 +391,7 @@ def _read_entries(mat: Path) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarr
         if fault is not None:
             raise ValueError(f"{mat}: {fault}")
     except ValueError:  # UnicodeDecodeError is one
-        _read_utf8(mat)  # a file that is not UTF-8 reports that before any other fault
+        read_utf8(mat)  # a file that is not UTF-8 reports that before any other fault
         raise
     return n_docs, n_terms, rows, cols, vals
 

@@ -33,6 +33,3 @@ class Partition:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
-
-    def n_nonempty(self) -> int:
-        return int((self.sizes() > 0).sum())

@@ -56,10 +56,6 @@ class ClusterTree:
     def leaves(self) -> list[TreeNode]:
         return [nd for nd in self.nodes if nd.is_leaf]
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaves())
-
     def partition(self) -> Partition:
         """Leaves numbered in creation (node id) order."""
         leaves = self.leaves()

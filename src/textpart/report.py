@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .textio import read_utf8
+
 FORMAT_HEADER = "textpart-report 1"
 
 
@@ -87,7 +89,7 @@ def write_report(report: RunReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> RunReport:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise ValueError(f"{path}: not a textpart report")
     report = RunReport(algorithm="", seed=0)

@@ -19,14 +19,7 @@ of each cluster. ``sgem_run`` computes each statistic once:
 
 - the row norms once per run;
 - the cluster sums once per iteration, for the new assignment, shared by
-  its log-likelihood and the next M-step;
-- the E-step's cross product ``matrix @ centroids.T`` is kept from one
-  iteration to the next. For CSR input only the columns of the centroids
-  that changed are recomputed, so late iterations, where few clusters
-  still change, read only part of the matrix. A column of a CSR product
-  has the same bits whether or not the other columns are computed with
-  it; a dense (BLAS) product does not promise that, so dense input gets
-  the whole product whenever a centroid changed.
+  its log-likelihood and the next M-step.
 
 The step functions take these statistics as optional keyword arguments
 and compute them when they are omitted.
@@ -37,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import cluster_sums, row_sq_norms, sq_distances
 from .partition import Partition
@@ -124,21 +116,19 @@ def m_step(assign: Partition, matrix, *, sums: np.ndarray | None = None,
     return SGemModel(counts / n, centroids, sigma2)
 
 
-def e_step(model: SGemModel, matrix, *, sq_norms: np.ndarray | None = None,
-           cross: np.ndarray | None = None) -> Partition:
+def e_step(model: SGemModel, matrix, *, sq_norms: np.ndarray | None = None) -> Partition:
     """Assign each document to the maximum-posterior component.
 
     Score: log P(c_j) - ||d_i - m_j||^2 / (2 s2); the shared
     -(d/2) log(2 pi s2) term cancels in the argmax. Components with zero
     prior never win; ties go to the smallest component index.
-    ``sq_norms`` (``row_sq_norms(matrix)``) and ``cross``
-    (``matrix @ model.centroids.T``) are computed when omitted.
+    ``sq_norms`` (``row_sq_norms(matrix)``) is computed when omitted.
     """
     if not np.any(model.priors > 0):
         raise ValueError("invalid model: all component priors are zero")
     with np.errstate(divide="ignore"):
         log_priors = np.where(model.priors > 0, np.log(model.priors), -np.inf)
-    scores = sq_distances(matrix, model.centroids, sq_norms=sq_norms, cross=cross)
+    scores = sq_distances(matrix, model.centroids, sq_norms=sq_norms)
     scores /= 2.0 * model.sigma2
     np.subtract(log_priors[None, :], scores, out=scores)
     return Partition(np.argmax(scores, axis=1), model.k)
@@ -170,20 +160,6 @@ def complete_log_likelihood(model: SGemModel, assign: Partition, matrix, *,
     else:
         prior_term = float((counts[occupied] * np.log(model.priors[occupied])).sum())
     return prior_term - n * (d / 2.0) * np.log(2.0 * np.pi * model.sigma2) - residual / (2.0 * model.sigma2)
-
-
-def _refresh_cross(cross: np.ndarray | None, matrix, centroids: np.ndarray,
-                   previous: np.ndarray | None) -> np.ndarray:
-    """``matrix @ centroids.T``, updated in place from ``cross``, the product
-    with the ``previous`` centroids: only the columns whose centroid row
-    changed bitwise are recomputed. Dense input, and the first call, get a
-    new whole product."""
-    if cross is None or not sp.issparse(matrix):
-        return np.asarray(matrix @ centroids.T)
-    changed = np.flatnonzero(np.any(centroids != previous, axis=1))
-    if changed.size:
-        cross[:, changed] = matrix @ centroids[changed].T
-    return cross
 
 
 def sgem_run(
@@ -218,12 +194,9 @@ def sgem_run(
     z = init
     trace: list[float] = []
     model: SGemModel | None = None
-    cross: np.ndarray | None = None
     for _ in range(max_iter):
-        previous = None if model is None else model.centroids
         model = m_step(z, matrix, sums=sums, sq_norms=sq_norms)
-        cross = _refresh_cross(cross, matrix, model.centroids, previous)
-        z_new = e_step(model, matrix, sq_norms=sq_norms, cross=cross)
+        z_new = e_step(model, matrix, sq_norms=sq_norms)
         sums = cluster_sums(matrix, z_new.labels, init.k)[0]
         trace.append(complete_log_likelihood(model, z_new, matrix, sums=sums, sq_norms=sq_norms))
         fixed_point = bool(np.array_equal(z_new.labels, z.labels))

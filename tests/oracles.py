@@ -181,7 +181,9 @@ def read_matrix_lines(prefix):
     ``UnicodeDecodeError``. A negative value raises a ``ValueError`` naming
     the file and its line, checked right after the non-finite values; it
     used to be checked last, by a ``TermDocMatrix`` method whose message
-    named no file."""
+    named no file. A doc id that repeats an earlier line of ``.docs``
+    raises a ``ValueError`` naming that file and both lines, checked after
+    the header shape; it used to be accepted."""
     from pathlib import Path
 
     from textpart.corpus import TermDocMatrix
@@ -229,6 +231,10 @@ def read_matrix_lines(prefix):
     if n_docs != len(doc_ids) or n_terms != len(vocab):
         raise ValueError(f"{prefix}.mat: header shape {n_docs} x {n_terms} disagrees with "
                          f"{len(doc_ids)} doc ids and {len(vocab)} terms")
+    for line, doc_id in enumerate(doc_ids, 1):
+        first = doc_ids.index(doc_id) + 1
+        if first != line:
+            raise ValueError(f"{prefix}.docs: doc id {doc_id!r} on line {line} repeats line {first}")
     if nnz and len(set(zip(rows.tolist(), cols.tolist()))) != nnz:
         raise ValueError(f"{prefix}.mat: duplicate (doc, term) entry")
     matrix = sp.csr_array((vals, (rows, cols)), shape=(n_docs, n_terms), dtype=np.float64)
@@ -564,7 +570,7 @@ def run_clustering_branches(
             k_run = k
         else:
             tree = pddp_run(matrix, stop=stop, seed=seed)
-            k_run = tree.n_leaves
+            k_run = len(tree.leaves())
         ib = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps, seed=seed)
         part = Partition(ib.assignment, k_run)
         params.extend([("k", str(k_run)), ("restarts", str(restarts)),

@@ -278,7 +278,7 @@ def test_flag_bound_error_prints_the_subcommand_usage(argv, capsys):
     assert capsys.readouterr().err.startswith(f"usage: textpart {argv[0]} ")
 
 
-@pytest.mark.parametrize("bad", ["labels", "stop-words", "corpus-lines", "corpus-dir"])
+@pytest.mark.parametrize("bad", ["labels", "report", "stop-words", "corpus-lines", "corpus-dir"])
 def test_cli_names_a_text_input_that_is_not_utf8(tmp_path, capsys, bad):
     from textpart.report import RunReport, write_report
 
@@ -289,14 +289,15 @@ def test_cli_names_a_text_input_that_is_not_utf8(tmp_path, capsys, bad):
     stop_words.write_text("the\n", encoding="utf-8")
     labels = tmp_path / "labels.txt"
     labels.write_text("A\nB\n", encoding="utf-8")
-    path = {"labels": labels, "stop-words": stop_words, "corpus-lines": lines,
+    report = tmp_path / "run.report"
+    rep = RunReport(algorithm="pddp", seed=0, params=[("stop", "fixed"), ("k", "2")],
+                    k_found=2, time_seconds=0.0, assignments=[("1", 0), ("2", 1)])
+    write_report(rep, report)
+    path = {"labels": labels, "report": report, "stop-words": stop_words, "corpus-lines": lines,
             "corpus-dir": corpus / "b.txt"}[bad]
     path.write_bytes(b"\xff" + path.read_bytes())
-    if bad == "labels":
-        rep = RunReport(algorithm="pddp", seed=0, params=[("stop", "fixed"), ("k", "2")],
-                        k_found=2, time_seconds=0.0, assignments=[("1", 0), ("2", 1)])
-        write_report(rep, tmp_path / "run.report")
-        argv = ["eval", str(tmp_path / "run.report"), str(labels)]
+    if bad in ("labels", "report"):
+        argv = ["eval", str(report), str(labels)]
     else:
         argv = ["ingest", str(lines if bad == "corpus-lines" else corpus),
                 "--output", str(tmp_path / "out"), "--stop-words", str(stop_words)]
@@ -391,6 +392,22 @@ def test_cluster_names_a_matrix_file_that_is_not_utf8(tmp_path, capsys, suffix):
     err = capsys.readouterr().err
     assert err.startswith(f"textpart: error: {tmp_path / f'bad.{suffix}'}: not valid UTF-8 (")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo", ["pddp", "pddp+sgem", "pddp+sib"])
+def test_cluster_rejects_a_repeated_doc_id(tmp_path, capsys, algo):
+    # tf-idf drops document 0 (its one term is in every document), so
+    # selecting the kept rows by id would keep both rows named x
+    (tmp_path / "dup.mat").write_text("3 3 5\n0 0 1.0\n1 0 1.0\n1 1 1.0\n2 0 1.0\n2 2 1.0\n",
+                                      encoding="utf-8")
+    (tmp_path / "dup.vocab").write_text("a\nb\nc\n", encoding="utf-8")
+    (tmp_path / "dup.docs").write_text("x\nx\ny\n", encoding="utf-8")
+    out = tmp_path / "dup.report"
+    assert main(["cluster", str(tmp_path / "dup"), "--algo", algo, "--stop", "fixed", "--k", "2",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"textpart: error: {tmp_path / 'dup.docs'}: doc id 'x' on line 2 repeats line 1")
+    assert not out.exists()
 
 
 def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):

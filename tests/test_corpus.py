@@ -293,10 +293,10 @@ def test_joint_invariants_on_random_corpus():
     ]
     tdm, _ = build_matrix(docs, min_count=1)
     joint = word_conditionals(tdm)
-    joint.validate()
     sums = np.asarray(joint.py_given_x.sum(axis=1)).ravel()
     assert np.abs(sums - 1.0).max() < 1e-9
     assert abs(joint.px.sum() - 1.0) < 1e-12
+    assert np.allclose(joint.px, joint.px[0])
 
 
 # --- matrix file round trip --------------------------------------------------
@@ -343,6 +343,17 @@ def _write_mat(tmp_path, body: str, n_docs: int = 3, n_terms: int = 2):
 def test_read_matrix_rejects_bad_entries(tmp_path, body, message):
     with pytest.raises(ValueError, match=message):
         read_matrix(_write_mat(tmp_path, body))
+
+
+@pytest.mark.parametrize("docs, message", [
+    ("x\nx\ny\n", "doc id 'x' on line 2 repeats line 1"),
+    ("x\ny\nx\n", "doc id 'x' on line 3 repeats line 1"),
+    ("x\ny\ny\n", "doc id 'y' on line 3 repeats line 2"),
+], ids=["x-x-y", "x-y-x", "x-y-y"])
+def test_read_matrix_rejects_a_repeated_doc_id(tmp_path, docs, message):
+    prefix = _write_mat(tmp_path, "0 0 1.0\n1 1 2.0")
+    (tmp_path / "bad.docs").write_text(docs, encoding="utf-8")
+    assert _assert_same_as_line_reader(prefix) == ("ValueError", f"{prefix}.docs: {message}")
 
 
 # --- matrix file parsing against the line-by-line reader ---------------------

@@ -163,7 +163,7 @@ def test_pddp_marks_degenerate_leaves_final_and_warns():
     X = np.array([[1.0, 1.0]] * 4 + [[5.0, 5.0]] * 4)
     tree = pddp_run(X, stop="fixed", k=3, seed=0)
     assert tree.warning
-    assert tree.n_leaves == 2  # the two identical blobs
+    assert len(tree.leaves()) == 2  # the two identical blobs
 
 
 def test_pddp_deterministic_per_seed():
@@ -177,14 +177,14 @@ def test_pddp_csv_stop_on_well_separated_clouds():
     X, labels = two_gaussians(3, n=400)
     tree = pddp_run(X, stop="csv", seed=3)
     assert not tree.warning
-    assert tree.n_leaves == 2
+    assert len(tree.leaves()) == 2
     assert nmi(tree.partition(), labels) >= 0.95
 
 
 def test_pddp_bic_stop_finds_two_clouds():
     X, labels = two_gaussians(4, n=400)
     tree = pddp_run(X, stop="bic", seed=4)
-    assert tree.n_leaves == 2
+    assert len(tree.leaves()) == 2
     assert nmi(tree.partition(), labels) >= 0.95
 
 
@@ -264,7 +264,7 @@ def test_pddp_leaves_partition_the_rows(X, stop, k, seed):
     members = np.concatenate([leaf.members for leaf in tree.leaves()])
     assert np.array_equal(np.sort(members), np.arange(n))
     part = tree.partition()
-    assert part.k == tree.n_leaves and part.n_docs == n
-    assert int(part.sizes().sum()) == n and part.n_nonempty() == part.k
+    assert part.k == len(tree.leaves()) and part.n_docs == n
+    assert int(part.sizes().sum()) == n and np.unique(part.labels).size == part.k
     if stop == "fixed":
         assert part.k <= k and (part.k == k or tree.warning)
