@@ -18,9 +18,8 @@ from .linalg import (
     DegenerateClusterError,
     centroid,
     principal_direction,
-    scatter_value,
 )
-from .model_select import BICScore, bic_score, bic_split_test, csv, csv_stop, param_count
+from .model_select import bic_score, bic_split_test, csv, csv_stop, param_count
 from .partition import Partition
 from .pddp import ClusterTree, pddp_run, select_leaf, split_cluster
 from .sgem import SGemModel, complete_log_likelihood, e_step, m_step, sgem_run
@@ -38,7 +37,6 @@ from .sib import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BICScore",
     "ClusterStats",
     "ClusterTree",
     "ConvergenceError",
@@ -68,7 +66,6 @@ __all__ = [
     "param_count",
     "pddp_run",
     "principal_direction",
-    "scatter_value",
     "select_leaf",
     "sgem_run",
     "sib_run",

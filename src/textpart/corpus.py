@@ -53,11 +53,20 @@ class TermDocMatrix:
 
     ``matrix`` holds nonnegative values: raw term counts after
     ``build_matrix``, L2-normalized tf-idf weights after ``tfidf_weight``.
+    Doc ids are unique, since reports and ``textpart eval`` identify
+    documents by id; a repeated one raises ``ValueError``.
     """
 
     matrix: sp.csr_array
     vocab: tuple[str, ...]
     doc_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for doc_id in self.doc_ids:
+            if doc_id in seen:
+                raise ValueError(f"doc id {doc_id!r} repeats an earlier document")
+            seen.add(doc_id)
 
     @property
     def n_docs(self) -> int:

@@ -6,6 +6,11 @@ float arrays. The covariance of a row set is never materialized: the
 principal direction is extracted by a matrix-free restarted Lanczos
 (Krylov Rayleigh-Ritz) solve so that high-dimensional sparse term matrices
 stay sparse.
+
+Cluster statistics have one source each: ``ClusterStats.from_rows`` gives
+one row set's members, centroid, scatter and residual, and
+``cluster_sums`` gives the row sums and sizes of every cluster of a
+partition at once.
 """
 
 from __future__ import annotations
@@ -71,35 +76,25 @@ def sq_distances(rows, centers: np.ndarray, *, sq_norms: np.ndarray | None = Non
     return d2
 
 
-def scatter_value(rows, center: np.ndarray) -> float:
-    """Average Euclidean distance of a nonempty row set to ``center``."""
-    if rows.shape[0] == 0:
-        raise ValueError("scatter of an empty cluster")
-    return float(np.sqrt(sq_distances(rows, center)[:, 0]).mean())
-
-
 def cluster_sums(matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster row sums (k, d) and occupancy counts (k,).
 
-    Sparse rows are summed by one ``np.bincount`` over the stored entries,
+    The rows, as CSR (dense rows are converted, which leaves out their
+    zeros), are summed by one ``np.bincount`` over the stored entries,
     keyed by ``label * d + column``. It adds each key's weights in storage
     order, and CSR stores rows in ascending order, so every sum adds its
     rows in ascending row order starting from 0.0: the order of the
-    indicator product used for dense rows and of the per-cluster loop in
-    ``tests/oracles.py``, hence the same bits. Empty clusters get zero sums.
+    per-cluster loop in ``tests/oracles.py``, hence the same bits. Empty
+    clusters get zero sums.
     """
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels, minlength=k)
-    if sp.issparse(matrix):
-        matrix = matrix.tocsr()
-        d = matrix.shape[1]
-        keys = np.repeat(labels * d, np.diff(matrix.indptr))
-        keys += matrix.indices
-        sums = np.bincount(keys, weights=matrix.data, minlength=k * d).reshape(k, d)
-        return sums, counts
-    n = labels.size
-    indicator = sp.csr_array((np.ones(n), (labels, np.arange(n))), shape=(k, n))
-    return np.asarray(indicator @ matrix, dtype=float), counts
+    matrix = sp.csr_array(matrix)
+    d = matrix.shape[1]
+    keys = np.repeat(labels * d, np.diff(matrix.indptr))
+    keys += matrix.indices
+    sums = np.bincount(keys, weights=matrix.data, minlength=k * d).reshape(k, d)
+    return sums, counts
 
 
 @dataclass
@@ -185,7 +180,7 @@ def principal_direction(rows, seed=0, *, center: np.ndarray | None = None,
         raise ValueError("principal direction needs at least 2 rows")
     w = centroid(rows) if center is None else center
     norms = row_sq_norms(rows) if sq_norms is None else sq_norms
-    scale = float(norms.max()) if norms.size else 0.0
+    scale = float(norms.max())
     total = float(sq_distances(rows, w, sq_norms=norms)[:, 0].sum()) if sse is None else sse
     if total <= _DEGENERATE_REL_TOL * n * max(scale, 1e-300):
         raise DegenerateClusterError("degenerate cluster: all rows identical")

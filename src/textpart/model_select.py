@@ -8,23 +8,22 @@ and one shared variance. Because the variance is shared, the score depends
 only on the cluster sizes and per-cluster residuals (squared distances to
 the centroid), so a split test works from leaf sizes and residuals alone:
 splitting a leaf swaps its residual for its children's, and the matrix is
-never touched.
+never touched. Scores are plain floats.
 
 The centroid scatter value (CSV) treats the current leaf centroids as data
-vectors and takes their scatter; a divisive run stops once the CSV exceeds
-the largest scatter of any single leaf, a dynamic threshold that needs no
-preset cluster count.
+vectors and takes their scatter, read from ``ClusterStats`` like every leaf
+scatter; a divisive run stops once the CSV exceeds the largest scatter of
+any single leaf, a dynamic threshold that needs no preset cluster count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import sgem
-from .linalg import ClusterStats, centroid, cluster_sums, row_sq_norms, scatter_value
+from .linalg import ClusterStats, cluster_sums, row_sq_norms
 from .partition import Partition
 
 
@@ -35,25 +34,16 @@ def param_count(k: int, d: int) -> int:
     return (k - 1) + k * d + 1
 
 
-@dataclass(frozen=True)
-class BICScore:
-    loglik: float
-    param_count: int
-    n: int
-
-    @property
-    def value(self) -> float:
-        return self.loglik - (self.param_count / 2.0) * math.log(self.n)
-
-
-def bic_from_residuals(sizes, sse, d: int) -> BICScore:
+def bic_from_residuals(sizes, sse, d: int) -> float:
     """BIC of a partition of d-dimensional rows from its cluster sizes and
     per-cluster residuals (sums of squared distances to the centroid).
 
     The fitted model puts P(c_j) = n_j / n and the shared variance at
     s2 = sum(sse) / (n d), so the complete-data log-likelihood is
 
-        sum_j n_j log(n_j / n) - (n d / 2) log(2 pi s2) - sum(sse) / (2 s2).
+        sum_j n_j log(n_j / n) - (n d / 2) log(2 pi s2) - sum(sse) / (2 s2),
+
+    and the score is that minus (param_count(k, d) / 2) log n.
 
     A fit whose variance collapses to ``SIGMA2_FLOOR`` (every cluster holds
     identical rows, e.g. all-singleton partitions) is a singular
@@ -66,13 +56,13 @@ def bic_from_residuals(sizes, sse, d: int) -> BICScore:
     residual = float(np.sum(sse))
     sigma2 = max(residual / (n * d), sgem.SIGMA2_FLOOR)
     if sigma2 <= sgem.SIGMA2_FLOOR:
-        return BICScore(-np.inf, param_count(k, d), n)
+        return -np.inf
     prior_term = float((sizes * np.log(sizes / n)).sum())
     loglik = prior_term - n * (d / 2.0) * math.log(2.0 * math.pi * sigma2) - residual / (2.0 * sigma2)
-    return BICScore(loglik, param_count(k, d), n)
+    return loglik - (param_count(k, d) / 2.0) * math.log(n)
 
 
-def bic_score(partition: Partition, matrix) -> BICScore:
+def bic_score(partition: Partition, matrix) -> float:
     """Fit the spherical model to a partition of the matrix rows and score it
     with ``bic_from_residuals``; the residuals come from ``cluster_sums``."""
     if np.any(partition.sizes() == 0):
@@ -98,20 +88,20 @@ def bic_split_test(sizes, sse, parent: ClusterStats, left: ClusterStats,
     child_sizes, child_sse = [left.size, right.size], [left.sse, right.sse]
     local_before = bic_from_residuals([parent.size], [parent.sse], d)
     local_after = bic_from_residuals(child_sizes, child_sse, d)
-    if not local_after.value > local_before.value:
+    if not local_after > local_before:
         return False
     global_before = bic_from_residuals(np.append(sizes, parent.size), np.append(sse, parent.sse), d)
     global_after = bic_from_residuals(np.append(sizes, child_sizes), np.append(sse, child_sse), d)
-    return global_after.value > global_before.value
+    return global_after > global_before
 
 
 def csv(leaves) -> float:
     """Scatter of the leaf centroids treated as data vectors."""
     centers = np.stack([leaf.stats.centroid for leaf in leaves])
-    return scatter_value(centers, centroid(centers))
+    return ClusterStats.from_rows(centers, np.arange(len(leaves))).scatter
 
 
 def csv_stop(leaves) -> bool:
     """True once the CSV of the leaves (``tree.leaves()``) exceeds their
     maximum scatter; never at one leaf."""
-    return len(leaves) >= 2 and csv(leaves) > max(leaf.scatter for leaf in leaves)
+    return len(leaves) >= 2 and csv(leaves) > max(leaf.stats.scatter for leaf in leaves)

@@ -37,14 +37,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    @property
-    def members(self) -> np.ndarray:
-        return self.stats.members
-
-    @property
-    def scatter(self) -> float:
-        return self.stats.scatter
-
 
 @dataclass
 class ClusterTree:
@@ -59,10 +51,10 @@ class ClusterTree:
     def partition(self) -> Partition:
         """Leaves numbered in creation (node id) order."""
         leaves = self.leaves()
-        n = sum(leaf.members.size for leaf in leaves)
+        n = sum(leaf.stats.size for leaf in leaves)
         labels = np.empty(n, dtype=np.int64)
         for j, leaf in enumerate(leaves):
-            labels[leaf.members] = j
+            labels[leaf.stats.members] = j
         return Partition(labels, len(leaves))
 
 
@@ -100,7 +92,8 @@ def select_leaf(leaves: list[TreeNode]) -> TreeNode | None:
     when every leaf is final or has fewer than two members."""
     best: TreeNode | None = None
     for nd in leaves:
-        if not nd.final and nd.members.size >= 2 and (best is None or nd.scatter > best.scatter):
+        if not nd.final and nd.stats.size >= 2 and (
+                best is None or nd.stats.scatter > best.stats.scatter):
             best = nd
     return best
 
@@ -151,7 +144,7 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
                 tree.warning = True  # rule never fired
             break
         try:
-            left, right, _ = split_cluster(node.members, matrix, rng, center=node.stats.centroid,
+            left, right, _ = split_cluster(node.stats.members, matrix, rng, center=node.stats.centroid,
                                            sq_norms=sq_norms, sse=node.stats.sse)
         except DegenerateClusterError:
             node.final = True

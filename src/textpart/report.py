@@ -22,6 +22,8 @@ from pathlib import Path
 from .textio import read_utf8
 
 FORMAT_HEADER = "textpart-report 1"
+_FIELDS = ("algorithm", "seed", "param", "k_found", "time_seconds", "tree", "leaf_members",
+          "assignment", "nmi")
 
 
 @dataclass
@@ -57,9 +59,9 @@ def tree_records(tree) -> list[TreeRecord]:
     """Flatten a ClusterTree into report records (leaf members included)."""
     records = []
     for nd in tree.nodes:
-        members = [int(i) for i in nd.members] if nd.is_leaf else None
+        members = [int(i) for i in nd.stats.members] if nd.is_leaf else None
         records.append(
-            TreeRecord(nd.node_id, nd.parent, nd.depth, int(nd.members.size), nd.scatter, members)
+            TreeRecord(nd.node_id, nd.parent, nd.depth, nd.stats.size, nd.stats.scatter, members)
         )
     return records
 
@@ -96,36 +98,39 @@ def read_report(path: str | Path) -> RunReport:
     tree: list[TreeRecord] = []
     leaf_members: dict[int, list[int]] = {}
     saw_tree = False
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], 2):
         key, _, rest = line.partition(" ")
-        if key == "algorithm":
-            report.algorithm = rest
-        elif key == "seed":
-            report.seed = int(rest)
-        elif key == "param":
-            name, _, value = rest.partition(" ")
-            report.params.append((name, value))
-        elif key == "k_found":
-            report.k_found = int(rest)
-        elif key == "time_seconds":
-            report.time_seconds = float(rest)
-        elif key == "tree":
-            saw_tree = True
-            nid, parent, depth, n_members, scatter = rest.split()
-            tree.append(TreeRecord(
-                int(nid), None if parent == "-" else int(parent),
-                int(depth), int(n_members), float(scatter),
-            ))
-        elif key == "leaf_members":
-            vals = [int(v) for v in rest.split()]
-            leaf_members[vals[0]] = vals[1:]
-        elif key == "assignment":
-            doc_id, _, cluster = rest.rpartition(" ")
-            report.assignments.append((doc_id, int(cluster)))
-        elif key == "nmi":
-            report.nmi = float(rest)
-        else:
+        if key not in _FIELDS:
             raise ValueError(f"{path}: unknown report field {key!r}")
+        try:
+            if key == "algorithm":
+                report.algorithm = rest
+            elif key == "seed":
+                report.seed = int(rest)
+            elif key == "param":
+                name, _, value = rest.partition(" ")
+                report.params.append((name, value))
+            elif key == "k_found":
+                report.k_found = int(rest)
+            elif key == "time_seconds":
+                report.time_seconds = float(rest)
+            elif key == "tree":
+                saw_tree = True
+                nid, parent, depth, n_members, scatter = rest.split()
+                tree.append(TreeRecord(
+                    int(nid), None if parent == "-" else int(parent),
+                    int(depth), int(n_members), float(scatter),
+                ))
+            elif key == "leaf_members":
+                vals = [int(v) for v in rest.split()]
+                leaf_members[vals[0]] = vals[1:]
+            elif key == "assignment":
+                doc_id, _, cluster = rest.rpartition(" ")
+                report.assignments.append((doc_id, int(cluster)))
+            elif key == "nmi":
+                report.nmi = float(rest)
+        except (ValueError, IndexError):
+            raise ValueError(f"{path}: malformed {key} on line {number}: {line!r}") from None
     if saw_tree:
         for rec in tree:
             if rec.node_id in leaf_members:

@@ -74,8 +74,6 @@ def merge_cost(px: float, py_x: np.ndarray, pt: float, py_t: np.ndarray) -> floa
     if pt == 0.0:
         return 0.0
     total = px + pt
-    if total == 0.0:
-        return 0.0
     return total * js_divergence(py_x, py_t, px / total, pt / total)
 
 
@@ -132,7 +130,6 @@ class SibState:
         if np.any(np.bincount(assignment, minlength=k) == 0):
             raise ValueError("initial partition has an empty cluster")
         self.k = k
-        self.n_docs = n
         self.assignment = assignment.copy()
         self.px = joint.px.copy()
 

@@ -425,7 +425,7 @@ def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: 
             break
         nid = node.node_id
         try:
-            left, right, _ = split_cluster(node.members, rng)
+            left, right, _ = split_cluster(node.stats.members, rng)
         except DegenerateClusterError:
             node.final = True
             continue

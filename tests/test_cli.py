@@ -252,6 +252,43 @@ def test_eval_length_mismatch_fails(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def _report_and_labels(tmp_path):
+    """A two-cluster pddp report of the mini corpus and a labels file for it."""
+    out = tmp_path / "run.report"
+    assert main(["cluster", _ingested_prefix(tmp_path), "--algo", "pddp", "--stop", "fixed",
+                 "--k", "2", "--output", str(out)]) == 0
+    lab = tmp_path / "labels.txt"
+    lab.write_text("".join(f"g{i % 2}\n" for i in range(40)), encoding="utf-8")
+    return out, lab
+
+
+def test_eval_twice_keeps_one_nmi_line(tmp_path):
+    out, lab = _report_and_labels(tmp_path)
+    before = out.read_bytes().splitlines()
+    assert main(["eval", str(out), str(lab)]) == 0
+    assert main(["eval", str(out), str(lab)]) == 0
+    after = out.read_bytes().splitlines()
+    assert [ln for ln in after if ln.startswith(b"nmi ")] == [after[-1]]
+    assert after[:-1] == before
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("leaf_members", "leaf_members"),
+    ("seed", "seed zero"),
+    ("tree", "tree 0 - 0"),
+])
+def test_eval_names_a_malformed_report_field(tmp_path, capsys, key, bad):
+    out, lab = _report_and_labels(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    number = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+    lines[number] = bad
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", str(out), str(lab)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"textpart: error: {out}: malformed {key} on line {number + 1}: {bad!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["cluster", "p", "--algo", "pddp", "--stop", "fixed"],           # fixed needs k
     ["cluster", "p", "--algo", "sib", "--stop", "fixed"],            # sib fixed needs k
@@ -408,6 +445,15 @@ def test_cluster_rejects_a_repeated_doc_id(tmp_path, capsys, algo):
     err = capsys.readouterr().err
     assert err.startswith(f"textpart: error: {tmp_path / 'dup.docs'}: doc id 'x' on line 2 repeats line 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["pddp", "pddp+sib"])
+def test_run_clustering_rejects_a_repeated_doc_id(algo):
+    # the corpus of test_cluster_rejects_a_repeated_doc_id, built in memory
+    rows = sp.csr_array(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="doc id 'x' repeats an earlier document"):
+        run_clustering(textpart.TermDocMatrix(rows, ("a", "b", "c"), ("x", "x", "y")),
+                       algo, "fixed", k=2)
 
 
 def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):

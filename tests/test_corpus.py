@@ -96,6 +96,11 @@ def _build_outcome(build, docs, min_count, doc_ids):
             *((a.dtype.str, a.tobytes()) for a in (m.indptr, m.indices, m.data)))
 
 
+def test_build_matrix_rejects_a_repeated_doc_id():
+    with pytest.raises(ValueError, match="doc id 'x' repeats an earlier document"):
+        build_matrix([["a"], ["a", "b"], ["b"]], min_count=1, doc_ids=["x", "y", "x"])
+
+
 def test_build_matrix_reads_one_shot_generators():
     docs = [["b", "a", "b"], [], ["c", "a"], ["c"]]
     once = (iter(doc) for doc in docs)

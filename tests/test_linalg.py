@@ -14,7 +14,6 @@ from textpart.linalg import (
     centroid,
     cluster_sums,
     principal_direction,
-    scatter_value,
     sq_distances,
 )
 from textpart.pddp import pddp_run
@@ -46,16 +45,16 @@ def test_centroid_empty_errors():
 
 
 def test_scatter_symmetric_pair():
-    assert scatter_value(np.array([[0.0], [2.0]]), np.array([1.0])) == 1.0
+    assert ClusterStats.from_rows(np.array([[0.0], [2.0]]), [0, 1]).scatter == 1.0
 
 
 def test_scatter_single_point_is_zero():
-    assert scatter_value(np.array([[4.0, 4.0]]), np.array([4.0, 4.0])) == 0.0
+    assert ClusterStats.from_rows(np.array([[4.0, 4.0]]), [0]).scatter == 0.0
 
 
 def test_scatter_half_hypotenuse():
     rows = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert scatter_value(rows, np.array([1.5, 2.0])) == pytest.approx(2.5)
+    assert ClusterStats.from_rows(rows, [0, 1]).scatter == pytest.approx(2.5)
 
 
 def test_cluster_stats_sse():
@@ -117,16 +116,15 @@ def test_cluster_sums_matches_loop_oracle_bitwise(case):
 def test_scatter_translation_invariance():
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(20, 4))
-    c = centroid(rows)
     shift = np.array([10.0, -3.0, 0.5, 100.0])
-    before = scatter_value(rows, c)
-    after = scatter_value(rows + shift, c + shift)
+    before = ClusterStats.from_rows(rows, np.arange(20)).scatter
+    after = ClusterStats.from_rows(rows + shift, np.arange(20)).scatter
     assert abs(before - after) < 1e-9
 
 
 def test_scatter_empty_errors():
     with pytest.raises(ValueError):
-        scatter_value(np.zeros((0, 2)), np.zeros(2))
+        ClusterStats.from_rows(np.zeros((0, 2)), [])
 
 
 def test_sq_distances_matches_direct():

@@ -8,7 +8,6 @@ from datagen import two_gaussians
 from textpart import model_select
 from textpart.linalg import ClusterStats
 from textpart.model_select import (
-    BICScore,
     bic_from_residuals,
     bic_score,
     bic_split_test,
@@ -39,11 +38,6 @@ def test_param_count_rejects_nonpositive():
         param_count(0, 3)
 
 
-def test_bic_value_recomputes_exactly():
-    s = BICScore(loglik=-123.25, param_count=7, n=50)
-    assert s.value == s.loglik - (s.param_count / 2.0) * math.log(s.n)
-
-
 def test_bic_prefers_true_structure_on_two_clouds():
     X, labels = two_gaussians(0, n=60)
     one = bic_score(Partition(np.zeros(60, dtype=int), 1), X)
@@ -51,15 +45,15 @@ def test_bic_prefers_true_structure_on_two_clouds():
     # the all-singleton partition collapses the shared variance; its singular
     # fit is scored -inf, so the overfit extreme can never win
     singletons = bic_score(Partition(np.arange(60), 60), X)
-    assert two.value > one.value
-    assert two.value > singletons.value
-    assert singletons.value == -np.inf
+    assert two > one
+    assert two > singletons
+    assert singletons == -np.inf
 
 
 def test_bic_score_is_deterministic():
     X, labels = two_gaussians(1, n=40)
     part = Partition(labels, 2)
-    assert bic_score(part, X).value == bic_score(part, X).value
+    assert bic_score(part, X) == bic_score(part, X)
 
 
 def test_bic_score_rejects_empty_cluster():
@@ -91,8 +85,7 @@ def test_bic_split_test_rejects_single_tight_gaussian():
 
 def test_bic_split_test_equal_scores_reject(monkeypatch):
     X, labels = two_gaussians(3, n=40)
-    fixed = BICScore(loglik=-10.0, param_count=4, n=40)
-    monkeypatch.setattr(model_select, "bic_from_residuals", lambda *a, **k: fixed)
+    monkeypatch.setattr(model_select, "bic_from_residuals", lambda *a, **k: -10.0)
     assert not bic_split_test(*_split_inputs(X, labels == 0))
 
 
@@ -165,8 +158,8 @@ def test_bic_split_test_matches_full_partition_scores():
         after_labels[right] = k
         before, after = Partition(labels, k), Partition(after_labels, k + 1)
         global_before, global_after = bic_score(before, M), bic_score(after, M)
-        want = (local_after.value > local_before.value
-                and global_after.value > global_before.value)
+        want = (local_after > local_before
+                and global_after > global_before)
         assert got == want
         decisions.append(got)
 
@@ -174,19 +167,19 @@ def test_bic_split_test_matches_full_partition_scores():
         res_before = bic_from_residuals([s.size for s in stats], [s.sse for s in stats], d)
         res_after = bic_from_residuals([s.size for s in others + children],
                                        [s.sse for s in others + children], d)
-        assert _close(res_before.value, global_before.value)
-        assert _close(res_after.value, global_after.value)
-        floors += global_after.value == -np.inf
+        assert _close(res_before, global_before)
+        assert _close(res_after, global_after)
+        floors += global_after == -np.inf
 
         # bic_score against the sGEM complete-data log-likelihood of its M-step
         for part in (before, after):
             model = m_step(part, M)
             if model.sigma2 <= SIGMA2_FLOOR:
-                assert bic_score(part, M).value == -np.inf
+                assert bic_score(part, M) == -np.inf
                 continue
             ref = (complete_log_likelihood(model, part, M)
                    - param_count(part.k, d) / 2.0 * math.log(M.shape[0]))
-            assert _close(bic_score(part, M).value, ref)
+            assert _close(bic_score(part, M), ref)
     assert floors >= 1
     assert any(decisions) and not all(decisions)
 

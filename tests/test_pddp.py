@@ -90,7 +90,7 @@ def test_pddp_run_splits_the_first_of_two_tied_leaves():
     # smaller node id, so the run's leaf list must stay in node-id order
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     tree = pddp_run(X, stop="fixed", k=3, seed=0)
-    assert tree.nodes[1].scatter == tree.nodes[2].scatter
+    assert tree.nodes[1].stats.scatter == tree.nodes[2].stats.scatter
     assert not tree.nodes[1].is_leaf and tree.nodes[2].is_leaf
 
 
@@ -109,7 +109,7 @@ def test_pddp_needs_two_documents():
 def test_pddp_leaves_partition_documents():
     X, _ = five_clusters(3)
     tree = pddp_run(X, stop="fixed", k=7, seed=3)
-    seen = np.concatenate([leaf.members for leaf in tree.leaves()])
+    seen = np.concatenate([leaf.stats.members for leaf in tree.leaves()])
     assert sorted(seen.tolist()) == list(range(len(X)))
     part = tree.partition()
     assert part.n_docs == len(X)
@@ -123,8 +123,8 @@ def test_pddp_children_partition_parent():
     for nd in tree.nodes:
         if nd.is_leaf:
             continue
-        got = np.concatenate([tree.nodes[nd.left].members, tree.nodes[nd.right].members])
-        assert sorted(got.tolist()) == sorted(nd.members.tolist())
+        got = np.concatenate([tree.nodes[nd.left].stats.members, tree.nodes[nd.right].stats.members])
+        assert sorted(got.tolist()) == sorted(nd.stats.members.tolist())
 
 
 def test_pddp_selection_order_is_repeated_max_extraction():
@@ -138,9 +138,9 @@ def test_pddp_selection_order_is_repeated_max_extraction():
     current = {0}
     for nd in internals:
         candidates = [
-            tree.nodes[i] for i in current if tree.nodes[i].members.size >= 2
+            tree.nodes[i] for i in current if tree.nodes[i].stats.size >= 2
         ]
-        best = max(candidates, key=lambda c: (c.scatter, -c.node_id))
+        best = max(candidates, key=lambda c: (c.stats.scatter, -c.node_id))
         assert best.node_id == nd.node_id
         current.remove(nd.node_id)
         current.add(nd.left)
@@ -216,7 +216,7 @@ def _assert_same_tree(tree, oracle):
     for a, b in zip(tree.nodes, oracle.nodes):
         assert (a.node_id, a.parent, a.depth, a.left, a.right, a.final) == \
             (b.node_id, b.parent, b.depth, b.left, b.right, b.final)
-        assert a.members.tobytes() == b.members.tobytes()
+        assert a.stats.members.tobytes() == b.stats.members.tobytes()
         assert a.stats.centroid.tobytes() == b.stats.centroid.tobytes()
         assert (a.stats.scatter, a.stats.sse) == (b.stats.scatter, b.stats.sse)
 
@@ -261,7 +261,7 @@ def _point_sets(draw):
 def test_pddp_leaves_partition_the_rows(X, stop, k, seed):
     tree = pddp_run(X, stop=stop, k=k if stop == "fixed" else None, seed=seed)
     n = X.shape[0]
-    members = np.concatenate([leaf.members for leaf in tree.leaves()])
+    members = np.concatenate([leaf.stats.members for leaf in tree.leaves()])
     assert np.array_equal(np.sort(members), np.arange(n))
     part = tree.partition()
     assert part.k == len(tree.leaves()) and part.n_docs == n
