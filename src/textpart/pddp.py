@@ -101,10 +101,11 @@ def select_leaf(leaves: list[TreeNode]) -> TreeNode | None:
 def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -> ClusterTree:
     """Recursively bisect the document set until the stopping rule fires.
 
-    ``stop`` selects the rule: ``"fixed"`` stops at ``k`` leaves; ``"csv"``
-    stops once the scatter of the leaf centroids exceeds the largest leaf
-    scatter; ``"bic"`` accepts a split only when both the local and the
-    global BIC improve, and stops when no acceptable split remains.
+    ``stop`` selects the rule: ``"fixed"`` stops at ``k`` leaves, where ``k``
+    is an integer in [1, n] (ValueError otherwise); ``"csv"`` stops once the
+    scatter of the leaf centroids exceeds the largest leaf scatter; ``"bic"``
+    accepts a split only when both the local and the global BIC improve, and
+    stops when no acceptable split remains.
 
     Leaf selection and every stopping rule read one list of the current
     leaves, kept in node-id order as the tree grows. Unsplittable leaves
@@ -116,9 +117,8 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
         raise ValueError("pddp_run needs at least 2 documents")
     if stop not in STOP_RULES:
         raise ValueError(f"unknown stopping rule {stop!r}")
-    if stop == "fixed":
-        if k is None or k < 1:
-            raise ValueError("fixed stopping needs k >= 1")
+    if stop == "fixed" and (not isinstance(k, (int, np.integer)) or not 1 <= k <= n):
+        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     rng = np.random.default_rng(seed)
 
     root_stats = ClusterStats.from_rows(matrix, np.arange(n, dtype=np.intp))

@@ -13,14 +13,18 @@ reduced source cluster competes in the argmin, each step either raises
 I(T; Y) or leaves the partition unchanged, so the score converges to a
 local maximum; several seeded restarts keep the best partition found.
 
-Cluster statistics are kept incrementally: p(t) and the per-cluster word
-mass sum_{x in t} p(x) p(y|x) are updated on every draw/merge, and the
-conditionals p(y|t) are materialized only when needed. Merge costs are
-evaluated on the support of the drawn document via the entropy identity
+Cluster statistics are kept incrementally: p(t), the per-cluster word
+mass b = sum_{x in t} p(x) p(y|x) and a table of b log b are updated on
+every move, and the conditionals p(y|t) are materialized only when needed.
+Merge costs are evaluated on the support of the drawn document via the
+entropy identity
 
     d(x, t) = H-terms of a, b and a+b with a = p(x) p(y|x), b = p(t) p(y|t)
 
-which costs O(K * |supp(x)|) per step.
+which costs O(K * |supp(x)|) per step. A step gathers b and b log b on
+supp(x) and draws x out of its own row of that copy, so a document that
+stays in its cluster writes nothing; only a move writes the two touched
+rows back.
 """
 
 from __future__ import annotations
@@ -116,10 +120,11 @@ class SibState:
     """Incrementally maintained statistics of one K-cluster partition.
 
     Holds, per cluster: the prior mass ``pt``, the word mass rows
-    ``word_mass`` (= sum of joint rows of the members) and the member
-    counts. ``draw_and_merge`` performs one sequential step; drawing a
-    document that is alone in its cluster is skipped so the partition
-    keeps exactly K clusters at all times.
+    ``word_mass`` (= sum of joint rows of the members), a cached
+    ``xlogy(word_mass, word_mass)`` and the member counts.
+    ``draw_and_merge`` performs one sequential step; drawing a document
+    that is alone in its cluster is skipped so the partition keeps exactly
+    K clusters at all times.
     """
 
     def __init__(self, joint: JointDistribution, assignment: np.ndarray, k: int):
@@ -138,12 +143,14 @@ class SibState:
         self._indptr = rows.indptr
         self._indices = rows.indices
         self._data = rows.data
-        # per-document cached sum_y a log a over the document's support
+        # per-document constant of the merge cost: sum_y a log a over the
+        # document's support, minus p(x) log p(x)
         cum = np.concatenate([[0.0], np.cumsum(xlogy(self._data, self._data))])
-        self._doc_entropy_term = cum[self._indptr[1:]] - cum[self._indptr[:-1]]
+        self._doc_term = cum[self._indptr[1:]] - cum[self._indptr[:-1]] - xlogy(self.px, self.px)
 
         self.pt = np.bincount(assignment, weights=self.px, minlength=k)
         self.word_mass, self.sizes = cluster_sums(rows, assignment, k)
+        self._mass_xlogy = xlogy(self.word_mass, self.word_mass)
 
         py = joint.py()
         self._neg_h_y = float(xlogy(py, py).sum())
@@ -153,57 +160,72 @@ class SibState:
         return self._indices[lo:hi], self._data[lo:hi]
 
     def merge_costs_from(self, x: int) -> np.ndarray:
-        """Cost vector d(x, t) for all clusters, with x already drawn out."""
+        """Cost vector d(x, t) for all clusters, with x drawn out of its own.
+
+        The draw-out is made on gathered copies; the state is not written.
+        """
+        return self._merge_costs(x)[0]
+
+    def _merge_costs(self, x: int) -> tuple[np.ndarray, ...]:
+        """``(costs, b, b_log_b, ab, ab_log_ab)`` for document x.
+
+        ``b`` is the word mass on supp(x), gathered with x's own row drawn
+        out; ``ab = b + a`` the mass each cluster would hold with x merged
+        in; ``b_log_b`` and ``ab_log_ab`` their xlogy. A move writes row
+        ``t_old`` of ``b`` and row ``t_new`` of ``ab`` back.
+        """
+        t_old = self.assignment[x]
         cols, avals = self._doc_row(x)
         px = self.px[x]
-        b = self.word_mass[:, cols]
-        ab = b + avals[None, :]
-        support_terms = (xlogy(b, b) - xlogy(ab, ab)).sum(axis=1)
-        pt = self.pt
+        b = self.word_mass.take(cols, axis=1)
+        b_log_b = self._mass_xlogy.take(cols, axis=1)
+        drawn = np.maximum(b[t_old] - avals, 0.0)
+        b[t_old] = drawn
+        b_log_b[t_old] = xlogy(drawn, drawn)
+        ab = b + avals
+        ab_log_ab = xlogy(ab, ab)
+        pt = self.pt.copy()
+        pt[t_old] = max(pt[t_old] - px, 0.0)
         total = pt + px
-        return (
-            self._doc_entropy_term[x]
-            - xlogy(px, px)
-            + support_terms
+        costs = (
+            self._doc_term[x]
+            + (b_log_b - ab_log_ab).sum(axis=1)
             - xlogy(pt, pt)
             + xlogy(total, total)
         )
+        return costs, b, b_log_b, ab, ab_log_ab
 
     def draw_and_merge(self, x: int) -> bool:
         """Draw document x out and re-merge it into the cheapest cluster.
 
         Returns True when the document changed cluster. Skips (and returns
         False) when x is its cluster's only member. A document that returns
-        to its own cluster leaves ``pt`` and ``word_mass`` bitwise as they
-        were: the pre-draw values are restored, since adding the document
-        back to the reduced cluster need not give the same bits.
+        to its own cluster writes nothing, so every statistic stays bitwise
+        as it was.
         """
         t_old = int(self.assignment[x])
         if self.sizes[t_old] == 1:
             return False
-        cols, avals = self._doc_row(x)
-        px = self.px[x]
-        pt_old = self.pt[t_old]
-        mass_old = self.word_mass[t_old, cols]
-        self.pt[t_old] = max(pt_old - px, 0.0)
-        self.word_mass[t_old, cols] = np.maximum(mass_old - avals, 0.0)
-
-        t_new = int(np.argmin(self.merge_costs_from(x)))
-
+        costs, b, b_log_b, ab, ab_log_ab = self._merge_costs(x)
+        t_new = int(costs.argmin())
         if t_new == t_old:
-            self.pt[t_old] = pt_old
-            self.word_mass[t_old, cols] = mass_old
             return False
-        self.sizes[t_old] -= 1
+        cols = self._doc_row(x)[0]
+        px = self.px[x]
+        self.pt[t_old] = max(self.pt[t_old] - px, 0.0)
         self.pt[t_new] += px
-        self.word_mass[t_new, cols] += avals
+        self.word_mass[t_old, cols] = b[t_old]
+        self.word_mass[t_new, cols] = ab[t_new]
+        self._mass_xlogy[t_old, cols] = b_log_b[t_old]
+        self._mass_xlogy[t_new, cols] = ab_log_ab[t_new]
+        self.sizes[t_old] -= 1
         self.sizes[t_new] += 1
         self.assignment[x] = t_new
         return True
 
     def information(self) -> float:
         """I(T; Y) of the current partition from the incremental statistics."""
-        h_tj = float(xlogy(self.word_mass, self.word_mass).sum())
+        h_tj = float(self._mass_xlogy.sum())
         h_t = float(xlogy(self.pt, self.pt).sum())
         return h_tj - h_t - self._neg_h_y
 

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import xlogy
+
+from textpart.linalg import cluster_sums
+from textpart.partition import Partition
+from textpart.sib import IBPartition
 
 
 def dense_covariance(rows) -> np.ndarray:
@@ -601,3 +606,152 @@ def run_clustering_branches(
         assignments=[(doc_id, int(c)) for doc_id, c in zip(tdm.doc_ids, labels)],
     )
     return rep
+
+
+# The sIB step as it was before the cluster word mass's xlogy was cached:
+# the document is drawn out of its cluster in place, ``merge_costs_from``
+# scores the mutated state, and the pre-draw values are restored when the
+# document stays. The class body is copied verbatim; only its name differs.
+# ``sib_run_sequential`` is ``sib_run`` driving this state.
+
+
+class SibStateSequential:
+    """Incrementally maintained statistics of one K-cluster partition.
+
+    Holds, per cluster: the prior mass ``pt``, the word mass rows
+    ``word_mass`` (= sum of joint rows of the members) and the member
+    counts. ``draw_and_merge`` performs one sequential step; drawing a
+    document that is alone in its cluster is skipped so the partition
+    keeps exactly K clusters at all times.
+    """
+
+    def __init__(self, joint: JointDistribution, assignment: np.ndarray, k: int):
+        n = joint.n_docs
+        assignment = Partition(assignment, k).labels  # raises on a label outside [0, k)
+        if assignment.shape != (n,):
+            raise ValueError("assignment length does not match joint")
+        if np.any(np.bincount(assignment, minlength=k) == 0):
+            raise ValueError("initial partition has an empty cluster")
+        self.k = k
+        self.assignment = assignment.copy()
+        self.px = joint.px.copy()
+
+        rows = joint.joint_rows()
+        rows.sort_indices()
+        self._indptr = rows.indptr
+        self._indices = rows.indices
+        self._data = rows.data
+        # per-document cached sum_y a log a over the document's support
+        cum = np.concatenate([[0.0], np.cumsum(xlogy(self._data, self._data))])
+        self._doc_entropy_term = cum[self._indptr[1:]] - cum[self._indptr[:-1]]
+
+        self.pt = np.bincount(assignment, weights=self.px, minlength=k)
+        self.word_mass, self.sizes = cluster_sums(rows, assignment, k)
+
+        py = joint.py()
+        self._neg_h_y = float(xlogy(py, py).sum())
+
+    def _doc_row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self._indptr[x], self._indptr[x + 1]
+        return self._indices[lo:hi], self._data[lo:hi]
+
+    def merge_costs_from(self, x: int) -> np.ndarray:
+        """Cost vector d(x, t) for all clusters, with x already drawn out."""
+        cols, avals = self._doc_row(x)
+        px = self.px[x]
+        b = self.word_mass[:, cols]
+        ab = b + avals[None, :]
+        support_terms = (xlogy(b, b) - xlogy(ab, ab)).sum(axis=1)
+        pt = self.pt
+        total = pt + px
+        return (
+            self._doc_entropy_term[x]
+            - xlogy(px, px)
+            + support_terms
+            - xlogy(pt, pt)
+            + xlogy(total, total)
+        )
+
+    def draw_and_merge(self, x: int) -> bool:
+        """Draw document x out and re-merge it into the cheapest cluster.
+
+        Returns True when the document changed cluster. Skips (and returns
+        False) when x is its cluster's only member. A document that returns
+        to its own cluster leaves ``pt`` and ``word_mass`` bitwise as they
+        were: the pre-draw values are restored, since adding the document
+        back to the reduced cluster need not give the same bits.
+        """
+        t_old = int(self.assignment[x])
+        if self.sizes[t_old] == 1:
+            return False
+        cols, avals = self._doc_row(x)
+        px = self.px[x]
+        pt_old = self.pt[t_old]
+        mass_old = self.word_mass[t_old, cols]
+        self.pt[t_old] = max(pt_old - px, 0.0)
+        self.word_mass[t_old, cols] = np.maximum(mass_old - avals, 0.0)
+
+        t_new = int(np.argmin(self.merge_costs_from(x)))
+
+        if t_new == t_old:
+            self.pt[t_old] = pt_old
+            self.word_mass[t_old, cols] = mass_old
+            return False
+        self.sizes[t_old] -= 1
+        self.pt[t_new] += px
+        self.word_mass[t_new, cols] += avals
+        self.sizes[t_new] += 1
+        self.assignment[x] = t_new
+        return True
+
+    def information(self) -> float:
+        """I(T; Y) of the current partition from the incremental statistics."""
+        h_tj = float(xlogy(self.word_mass, self.word_mass).sum())
+        h_t = float(xlogy(self.pt, self.pt).sum())
+        return h_tj - h_t - self._neg_h_y
+
+    def py_given_t(self) -> np.ndarray:
+        return self.word_mass / np.maximum(self.pt[:, None], 1e-300)
+
+    def to_partition(self) -> IBPartition:
+        return IBPartition(
+            self.k, self.assignment.copy(), self.pt.copy(), self.py_given_t(), self.information()
+        )
+
+
+
+def sib_run_sequential(
+    joint: JointDistribution,
+    k: int,
+    n_restarts: int = 10,
+    max_loops: int = 50,
+    eps: float = 0.0,
+    seed: int = 0,
+    init: np.ndarray | None = None,
+) -> IBPartition:
+    """``sib_run`` with every step taken by ``SibStateSequential``."""
+    from textpart.sib import random_assignment
+
+    n = joint.n_docs
+    root = np.random.SeedSequence(seed)
+    if init is None:
+        rngs = map(np.random.default_rng, root.spawn(n_restarts))
+        starts = ((random_assignment(n, k, rng), rng) for rng in rngs)
+    else:
+        starts = [(np.asarray(init, dtype=np.int64), np.random.default_rng(root))]
+    best = None
+    for start, rng in starts:
+        state = SibStateSequential(joint, start, k)
+        loops = 0
+        while True:
+            changes = 0
+            for x in rng.permutation(n):
+                if state.draw_and_merge(int(x)):
+                    changes += 1
+            loops += 1
+            if loops >= max_loops or changes <= eps * n:
+                break
+        result = (state.assignment, state.information())
+        if best is None or result[1] > best[1]:
+            best = result
+    return SibStateSequential(joint, best[0], k).to_partition()

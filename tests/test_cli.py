@@ -456,6 +456,18 @@ def test_run_clustering_rejects_a_repeated_doc_id(algo):
                        algo, "fixed", k=2)
 
 
+@pytest.mark.parametrize("algo", ALGOS)
+def test_cluster_k_beyond_the_document_count_exits_1(tmp_path, capsys, algo):
+    prefix = tmp_path / "small"
+    write_matrix(multinomial_corpus(0, n_docs=40, vocab_size=30)[0], prefix)
+    out = tmp_path / "small.report"
+    assert main(["cluster", str(prefix), "--algo", algo, "--stop", "fixed", "--k", "41",
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "textpart: error: k must be an integer in [1, 40], got 41\n"
+    assert not out.exists()
+
+
 def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):
     X = near_tied_cloud(0)
     prefix = tmp_path / "tied"

@@ -106,6 +106,13 @@ def test_pddp_needs_two_documents():
         pddp_run(np.array([[1.0, 2.0]]), stop="fixed", k=1)
 
 
+@pytest.mark.parametrize("k", [None, 0, 51, 2.0])
+def test_pddp_fixed_rejects_k_that_is_not_an_integer_in_range(k):
+    X, _ = two_gaussians(2, n=50)
+    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 50\]"):
+        pddp_run(X, stop="fixed", k=k, seed=0)
+
+
 def test_pddp_leaves_partition_documents():
     X, _ = five_clusters(3)
     tree = pddp_run(X, stop="fixed", k=7, seed=3)
@@ -259,8 +266,12 @@ def _point_sets(draw):
 @given(X=_point_sets(), stop=st.sampled_from(["fixed", "csv", "bic"]), k=st.integers(1, 8),
        seed=st.integers(0, 3))
 def test_pddp_leaves_partition_the_rows(X, stop, k, seed):
-    tree = pddp_run(X, stop=stop, k=k if stop == "fixed" else None, seed=seed)
     n = X.shape[0]
+    if stop == "fixed" and k > n:
+        with pytest.raises(ValueError, match=rf"k must be an integer in \[1, {n}\], got {k}"):
+            pddp_run(X, stop=stop, k=k, seed=seed)
+        return
+    tree = pddp_run(X, stop=stop, k=k if stop == "fixed" else None, seed=seed)
     members = np.concatenate([leaf.stats.members for leaf in tree.leaves()])
     assert np.array_equal(np.sort(members), np.arange(n))
     part = tree.partition()

@@ -5,15 +5,18 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
-from datagen import random_joint
+from datagen import multinomial_corpus, random_joint
 from oracles import (
     best_bipartition_information,
     cluster_stats_from_scratch,
     information_of_assignment,
     sib_run_branches,
+    sib_run_sequential,
 )
 from textpart import JointDistribution
+from textpart.corpus import build_matrix, tokenize, word_conditionals
 from textpart.sib import (
     SibState,
     information_xy,
@@ -190,6 +193,8 @@ def test_sib_incremental_stats_match_scratch():
         pt, mass = cluster_stats_from_scratch(joint, state.assignment, k)
         assert np.abs(state.pt - pt).max() < 1e-9
         assert np.abs(state.word_mass - mass).max() < 1e-9
+        oracle = information_of_assignment(joint, state.assignment, k)
+        assert state.information() == pytest.approx(oracle, abs=1e-9)
 
 
 def test_sib_no_move_draw_leaves_statistics_bitwise_unchanged():
@@ -200,12 +205,33 @@ def test_sib_no_move_draw_leaves_statistics_bitwise_unchanged():
     no_moves = 0
     for _ in range(4):
         for x in rng.permutation(60):
-            before = (state.pt.tobytes(), state.word_mass.tobytes(), state.sizes.tobytes())
+            before = _state_bytes(state)
             was_alone = state.sizes[state.assignment[x]] == 1
             if not state.draw_and_merge(int(x)):
                 no_moves += not was_alone
-                assert (state.pt.tobytes(), state.word_mass.tobytes(), state.sizes.tobytes()) == before
+                assert _state_bytes(state) == before
     assert no_moves >= 60
+
+
+def _state_bytes(state):
+    return (state.pt.tobytes(), state.word_mass.tobytes(), state._mass_xlogy.tobytes(),
+            state.sizes.tobytes(), state.assignment.tobytes())
+
+
+def test_sib_cached_xlogy_equals_the_word_mass_table_after_every_step():
+    # x * log(x) differs from xlogy in the last bit on about 1 in 10^4 of
+    # these masses, so the corpus is large enough for a cache updated any
+    # other way to show
+    joint = word_conditionals(multinomial_corpus(1, n_docs=1000)[0])
+    k = 8
+    rng = np.random.default_rng(5)
+    state = SibState(joint, random_assignment(joint.n_docs, k, rng), k)
+    moves = 0
+    for _ in range(2):
+        for x in rng.permutation(joint.n_docs):
+            moves += state.draw_and_merge(int(x))
+            assert state._mass_xlogy.tobytes() == xlogy(state.word_mass, state.word_mass).tobytes()
+    assert moves >= 500
 
 
 def test_sib_merge_costs_match_definition():
@@ -219,16 +245,16 @@ def test_sib_merge_costs_match_definition():
         if state.sizes[t_old] == 1:
             continue
         px = joint.px[x]
-        state.pt[t_old] -= px
-        state.word_mass[t_old] -= px * cond[x]
-        state.sizes[t_old] -= 1
+        pt = state.pt.copy()
+        mass = state.word_mass.copy()
+        pt[t_old] -= px
+        mass[t_old] -= px * cond[x]
+        before = _state_bytes(state)
         fast = state.merge_costs_from(x)
+        assert _state_bytes(state) == before  # the draw-out is made on copies
         for t in range(k):
-            expected = merge_cost(px, cond[x], state.pt[t], state.py_given_t()[t])
+            expected = merge_cost(px, cond[x], pt[t], mass[t] / pt[t])
             assert fast[t] == pytest.approx(expected, abs=1e-9)
-        state.pt[t_old] += px
-        state.word_mass[t_old] += px * cond[x]
-        state.sizes[t_old] += 1
 
 
 def test_sib_small_instance_optimality_sample():
@@ -321,3 +347,54 @@ def test_sib_run_ties_go_to_the_first_restart(seed):
     got = sib_run(joint, 4, n_restarts=4, seed=seed)
     assert _bits(got.assignment) == _bits(want.assignment)
     assert got.score == want.score
+
+
+# --- the step against the in-place step it replaced -----------------------------
+
+def _c10_joint():
+    """The acceptance test C10's corpus: 60 lines over three word pools."""
+    rng = np.random.default_rng(0)
+    pools = (["kernel", "driver", "memory", "thread", "stack"],
+             ["pitch", "goal", "league", "coach", "match"],
+             ["tensor", "gradient", "epoch", "layer", "batch"])
+    lines = [" ".join(rng.choice(pools[i % 3], size=14).tolist()) for i in range(60)]
+    tdm, _ = build_matrix([tokenize(line) for line in lines], min_count=2)
+    return word_conditionals(tdm), 3
+
+
+_ORACLE_CORPORA = {
+    "c9": lambda seed: (word_conditionals(multinomial_corpus(seed)[0]), 8),
+    "c10": lambda seed: _c10_joint(),
+    "s3k": lambda seed: (word_conditionals(multinomial_corpus(
+        seed, n_docs=3000, n_topics=20, vocab_size=1000)[0]), 20),
+}
+
+
+def _assert_same_partition(got, want):
+    assert _bits(got.assignment) == _bits(want.assignment)
+    assert got.score == want.score
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("corpus", sorted(_ORACLE_CORPORA))
+def test_sib_run_matches_in_place_step_oracle_bitwise(corpus, seed):
+    joint, k = _ORACLE_CORPORA[corpus](seed)
+    kwargs = dict(n_restarts=2, max_loops=3, seed=seed)
+    _assert_same_partition(sib_run(joint, k, **kwargs), sib_run_sequential(joint, k, **kwargs))
+    init = np.arange(joint.n_docs) % k
+    kwargs = dict(max_loops=3, seed=seed, init=init)
+    _assert_same_partition(sib_run(joint, k, **kwargs), sib_run_sequential(joint, k, **kwargs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 20), m=st.integers(1, 6), alpha=st.sampled_from([0.05, 0.5, 2.0]),
+       data=st.data(), seed=st.integers(0, 1000))
+def test_sib_run_matches_in_place_step_oracle_on_small_joints(n, m, alpha, data, seed):
+    joint = random_joint(n, m, seed=seed, alpha=alpha)
+    k = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    kwargs = dict(n_restarts=2, max_loops=4, seed=seed)
+    _assert_same_partition(sib_run(joint, k, **kwargs), sib_run_sequential(joint, k, **kwargs))
+    # singleton clusters: every cluster but the last holds one document
+    init = np.minimum(np.arange(n), k - 1)
+    kwargs = dict(max_loops=4, seed=seed, init=init)
+    _assert_same_partition(sib_run(joint, k, **kwargs), sib_run_sequential(joint, k, **kwargs))
