@@ -1,76 +1,67 @@
 """Document clustering via divisive partitioning, spherical hard EM, and
 sequential information bottleneck, with BIC/CSV model selection and NMI
-evaluation."""
+evaluation.
 
-from .corpus import (
-    EmptyCorpusError,
-    JointDistribution,
-    TermDocMatrix,
-    build_matrix,
-    tfidf_weight,
-    tokenize,
-    word_conditionals,
-)
-from .evaluate import nmi
-from .linalg import (
-    ClusterStats,
-    ConvergenceError,
-    DegenerateClusterError,
-    centroid,
-    principal_direction,
-)
-from .model_select import bic_score, bic_split_test, csv, csv_stop, param_count
-from .partition import Partition
-from .pddp import ClusterTree, pddp_run, select_leaf, split_cluster
-from .sgem import SGemModel, complete_log_likelihood, e_step, m_step, sgem_run
-from .sib import (
-    IBPartition,
-    SibState,
-    information_xy,
-    js_divergence,
-    kl_divergence,
-    merge_cost,
-    mutual_information,
-    sib_run,
-)
+Each public name is imported from its module on first use (PEP 562), so
+``import textpart`` loads no submodule, and reading and scoring a report
+(``textpart.report``, ``textpart.nmi``) loads no scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClusterStats",
-    "ClusterTree",
-    "ConvergenceError",
-    "DegenerateClusterError",
-    "EmptyCorpusError",
-    "IBPartition",
-    "JointDistribution",
-    "Partition",
-    "SGemModel",
-    "SibState",
-    "TermDocMatrix",
-    "bic_score",
-    "bic_split_test",
-    "build_matrix",
-    "centroid",
-    "complete_log_likelihood",
-    "csv",
-    "csv_stop",
-    "e_step",
-    "information_xy",
-    "js_divergence",
-    "kl_divergence",
-    "m_step",
-    "merge_cost",
-    "mutual_information",
-    "nmi",
-    "param_count",
-    "pddp_run",
-    "principal_direction",
-    "select_leaf",
-    "sgem_run",
-    "sib_run",
-    "split_cluster",
-    "tfidf_weight",
-    "tokenize",
-    "word_conditionals",
-]
+# Each public name and the module that defines it.
+_MODULE_OF = {
+    "ClusterStats": "linalg",
+    "ClusterTree": "pddp",
+    "ConvergenceError": "linalg",
+    "DegenerateClusterError": "linalg",
+    "EmptyCorpusError": "corpus",
+    "IBPartition": "sib",
+    "JointDistribution": "corpus",
+    "Partition": "partition",
+    "SGemModel": "sgem",
+    "SibState": "sib",
+    "TermDocMatrix": "corpus",
+    "bic_score": "model_select",
+    "bic_split_test": "model_select",
+    "build_matrix": "corpus",
+    "centroid": "linalg",
+    "complete_log_likelihood": "sgem",
+    "csv": "model_select",
+    "csv_stop": "model_select",
+    "e_step": "sgem",
+    "information_xy": "sib",
+    "js_divergence": "sib",
+    "kl_divergence": "sib",
+    "m_step": "sgem",
+    "merge_cost": "sib",
+    "mutual_information": "sib",
+    "nmi": "evaluate",
+    "param_count": "model_select",
+    "pddp_run": "pddp",
+    "principal_direction": "linalg",
+    "select_leaf": "pddp",
+    "sgem_run": "sgem",
+    "sib_run": "sib",
+    "split_cluster": "pddp",
+    "tfidf_weight": "corpus",
+    "tokenize": "corpus",
+    "word_conditionals": "corpus",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the module that defines public ``name`` and keep the name here."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_MODULE_OF[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

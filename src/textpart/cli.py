@@ -27,7 +27,6 @@ from .corpus import (
     build_matrix,
     read_corpus_dir,
     read_corpus_lines,
-    read_labels,
     read_matrix,
     read_stop_words,
     tfidf_weight,
@@ -40,6 +39,7 @@ from .linalg import ConvergenceError
 from .pddp import STOP_RULES, pddp_run
 from .sgem import sgem_run
 from .sib import sib_run
+from .textio import read_labels
 
 # The flags each pipeline reads beyond --stop, --k, --seed and --weighting,
 # in the order its report writes them as `param` lines.

@@ -19,8 +19,10 @@ File formats handled here:
   chunks: ``np.loadtxt`` parses each chunk, and only a chunk it declines is
   parsed line by line with ``str.split``, ``int`` and ``float``, so the
   accepted files, the faults and the matrix bits are those of a plain
-  line-by-line reader;
-* labels: one category string per document, same order as ``.docs``.
+  line-by-line reader.
+
+The labels file that ``textpart eval`` scores against is read by
+``textio.read_labels``, which needs no numpy or scipy.
 """
 
 from __future__ import annotations
@@ -47,14 +49,25 @@ class EmptyCorpusError(ValueError):
     """Every document was eliminated by pruning or weighting."""
 
 
+def _check_unique(doc_ids: Iterable[str]) -> None:
+    """Raise ``ValueError`` at the first doc id that repeats an earlier one."""
+    seen: set[str] = set()
+    for doc_id in doc_ids:
+        if doc_id in seen:
+            raise ValueError(f"doc id {doc_id!r} repeats an earlier document")
+        seen.add(doc_id)
+
+
 @dataclass(frozen=True)
 class TermDocMatrix:
     """Sparse n_docs x n_terms matrix with its vocabulary and doc ids.
 
     ``matrix`` holds nonnegative values: raw term counts after
     ``build_matrix``, L2-normalized tf-idf weights after ``tfidf_weight``.
-    Doc ids are unique, since reports and ``textpart eval`` identify
-    documents by id; a repeated one raises ``ValueError``.
+    There is one doc id per row and one vocabulary term per column, and
+    doc ids are unique, since reports and ``textpart eval`` identify
+    documents by id; a count that does not fit the shape, or a repeated
+    id, raises ``ValueError``.
     """
 
     matrix: sp.csr_array
@@ -62,11 +75,10 @@ class TermDocMatrix:
     doc_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for doc_id in self.doc_ids:
-            if doc_id in seen:
-                raise ValueError(f"doc id {doc_id!r} repeats an earlier document")
-            seen.add(doc_id)
+        if (len(self.doc_ids), len(self.vocab)) != self.matrix.shape:
+            raise ValueError(f"{len(self.doc_ids)} doc ids and {len(self.vocab)} terms do not fit "
+                             f"a {self.n_docs} x {self.n_terms} matrix")
+        _check_unique(self.doc_ids)
 
     @property
     def n_docs(self) -> int:
@@ -135,7 +147,9 @@ def build_matrix(
     lexicographically so term indices are stable across runs. Documents left
     with no terms are dropped; their ids are returned as the second element.
 
-    Raises ``EmptyCorpusError`` if pruning eliminates every document.
+    Raises ``ValueError`` if ``doc_ids`` does not give one id per document
+    or repeats an id, and ``EmptyCorpusError`` if pruning eliminates every
+    document.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -152,6 +166,7 @@ def build_matrix(
         doc_ids = [str(i) for i in range(n_docs)]
     if len(doc_ids) != n_docs:
         raise ValueError("doc_ids length does not match docs")
+    _check_unique(doc_ids)
 
     ids = np.frombuffer(tokens, dtype=np.intc)
     totals = np.bincount(ids, minlength=len(term_ids)).tolist()
@@ -256,11 +271,6 @@ def read_corpus_lines(path: str | Path) -> tuple[list[str], list[str]]:
     """One document per line; doc ids are 1-based line numbers."""
     lines = read_utf8(path).splitlines()
     return lines, [str(i + 1) for i in range(len(lines))]
-
-
-def read_labels(path: str | Path) -> list[str]:
-    """One category string per line, aligned with the ``.docs`` file."""
-    return [ln.strip() for ln in read_utf8(path).splitlines()]
 
 
 # Entries ``write_matrix`` formats per write.

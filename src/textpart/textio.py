@@ -1,7 +1,8 @@
-"""UTF-8 text input shared by the corpus readers and the report reader.
+"""UTF-8 text input shared by the corpus readers, the report reader and
+``textpart eval``.
 
-It imports only the standard library, so ``report`` depends on it without
-depending on scipy.
+It imports only the standard library, so reading a report and its labels
+needs neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -15,3 +16,8 @@ def read_utf8(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
+def read_labels(path: str | Path) -> list[str]:
+    """One category string per line, aligned with the ``.docs`` file."""
+    return [ln.strip() for ln in read_utf8(path).splitlines()]

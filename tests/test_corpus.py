@@ -101,6 +101,29 @@ def test_build_matrix_rejects_a_repeated_doc_id():
         build_matrix([["a"], ["a", "b"], ["b"]], min_count=1, doc_ids=["x", "y", "x"])
 
 
+def test_build_matrix_rejects_a_repeated_id_of_a_dropped_document():
+    # 'z' is pruned, so the first 'x' names a dropped document and the second a kept one
+    with pytest.raises(ValueError, match="doc id 'x' repeats an earlier document"):
+        build_matrix([["z"], ["a"], ["a"]], min_count=2, doc_ids=["x", "x", "y"])
+
+
+def _six_by_four():
+    return sp.csr_array(np.arange(24, dtype=np.float64).reshape(6, 4))
+
+
+@pytest.mark.parametrize("n_ids", [5, 7])
+def test_term_doc_matrix_rejects_doc_ids_that_do_not_fit_the_rows(n_ids):
+    ids = tuple(f"d{i}" for i in range(n_ids))
+    with pytest.raises(ValueError, match=rf"^{n_ids} doc ids and 4 terms do not fit a 6 x 4 matrix$"):
+        TermDocMatrix(_six_by_four(), ("a", "b", "c", "d"), ids)
+
+
+def test_term_doc_matrix_rejects_a_vocab_that_does_not_fit_the_columns():
+    ids = tuple(f"d{i}" for i in range(6))
+    with pytest.raises(ValueError, match=r"^6 doc ids and 2 terms do not fit a 6 x 4 matrix$"):
+        TermDocMatrix(_six_by_four(), ("a", "b"), ids)
+
+
 def test_build_matrix_reads_one_shot_generators():
     docs = [["b", "a", "b"], [], ["c", "a"], ["c"]]
     once = (iter(doc) for doc in docs)
