@@ -6,6 +6,17 @@ geometric algorithms) or word_conditionals (per-document word distributions
 with a uniform document prior, consumed by the information-bottleneck
 algorithm).
 
+Weighting is arithmetic on the CSR ``data`` array. ``_scaled`` multiplies
+each stored value by a per-row or per-column factor and returns a matrix
+on the input's own ``indices`` and ``indptr``, so a weighted matrix may
+share those arrays with the counts it came from. ``df`` is a ``bincount``
+over the columns of the positive stored values. Each value is the product
+that scipy's broadcasting ``multiply`` makes, and the row norms are
+``linalg.row_sq_norms``, so the weights keep their bits without the
+products' COO round trips. Only ``tfidf_weight`` copies the index arrays,
+and only when it must leave out zero weights or dropped rows. Input with
+unsorted or repeated entries is first made canonical (``_canonical``).
+
 File formats handled here:
 
 * corpus input: a directory of UTF-8 ``.txt`` files (one document each,
@@ -115,8 +126,7 @@ class JointDistribution:
 
     def joint_rows(self) -> sp.csr_array:
         """Rows of p(x, y) = p(x) p(y|x)."""
-        scaled = self.py_given_x.multiply(self.px[:, None])
-        return sp.csr_array(scaled)
+        return _scaled(self.py_given_x, self.px, axis=0)
 
     def py(self) -> np.ndarray:
         """Word marginal p(y) = sum_x p(x) p(y|x), dense."""
@@ -201,6 +211,26 @@ def build_matrix(
     return TermDocMatrix(matrix, tuple(vocab), kept_ids), dropped
 
 
+def _canonical(matrix: sp.csr_array) -> sp.csr_array:
+    """``matrix`` itself when each row's columns are sorted and distinct,
+    else a copy with repeated entries summed and the columns sorted."""
+    return matrix if matrix.has_canonical_format else matrix.tocoo().tocsr()
+
+
+def _scaled(matrix: sp.csr_array, factor: np.ndarray, axis: int) -> sp.csr_array:
+    """``matrix`` with each stored value times ``factor`` at its row
+    (``axis=0``) or its column (``axis=1``).
+
+    The result shares the index arrays of ``_canonical(matrix)``; only its
+    values are new. Stored zeros stay stored, and each product is the one
+    scipy's broadcasting ``multiply`` makes, without its COO round trip.
+    """
+    matrix = _canonical(matrix)
+    scale = np.repeat(factor, np.diff(matrix.indptr)) if axis == 0 else factor[matrix.indices]
+    scale *= matrix.data
+    return sp.csr_array((scale, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def tfidf_weight(m: TermDocMatrix) -> tuple[TermDocMatrix, list[str]]:
     """Replace raw counts by L2-normalized tf-idf weights.
 
@@ -209,26 +239,27 @@ def tfidf_weight(m: TermDocMatrix) -> tuple[TermDocMatrix, list[str]]:
     scaled to unit L2 norm. Terms present in all documents get weight 0 and
     vanish from the rows (the vocabulary keeps its indices). Documents
     whose every term had df = n end up empty and are dropped; their ids are
-    returned as the second element.
+    returned as the second element. A document whose squared tf-idf norm
+    overflows float64 raises ``ValueError`` naming the first one.
     """
-    counts = m.matrix
-    n = m.n_docs
-    if n < 1:
+    if m.n_docs < 1:
         raise ValueError("tfidf_weight needs at least one document")
-    df = np.asarray((counts > 0).sum(axis=0)).ravel()
+    counts = _canonical(m.matrix)
+    df = np.bincount(counts.indices[counts.data > 0], minlength=m.n_terms)
     with np.errstate(divide="ignore"):
-        idf = np.where(df > 0, np.log(n / np.maximum(df, 1)), 0.0)
-
-    weighted = sp.csr_array(counts.multiply(idf[None, :]))
-    weighted.eliminate_zeros()
-
-    row_norms = np.sqrt(row_sq_norms(weighted))
-    keep = row_norms > 0
-    dropped = [m.doc_ids[i] for i in np.nonzero(~keep)[0]]
-    weighted = weighted[keep]
-    inv = 1.0 / row_norms[keep]
-    weighted = sp.csr_array(weighted.multiply(inv[:, None]))
-    weighted.sort_indices()
+        idf = np.where(df > 0, np.log(m.n_docs / np.maximum(df, 1)), 0.0)
+    with np.errstate(over="ignore"):
+        weighted = _scaled(counts, idf, axis=1)
+        sq_norms = row_sq_norms(weighted)
+    finite = np.isfinite(sq_norms)
+    if not finite.all():
+        raise ValueError(f"document {m.doc_ids[finite.argmin()]!r}: squared tf-idf norm overflows float64")
+    keep = sq_norms > 0
+    dropped = [m.doc_ids[i] for i in np.flatnonzero(~keep)]
+    if not keep.all() or np.count_nonzero(weighted.data) < weighted.nnz:
+        weighted = weighted[keep]  # a copy, since the index arrays are the input's
+        weighted.eliminate_zeros()
+    weighted = _scaled(weighted, 1.0 / np.sqrt(sq_norms[keep]), axis=0)
     kept_ids = tuple(d for d, k in zip(m.doc_ids, keep) if k)
     return TermDocMatrix(weighted, m.vocab, kept_ids), dropped
 
@@ -239,14 +270,10 @@ def word_conditionals(m: TermDocMatrix) -> JointDistribution:
     ``p(y|x)`` is the count of word y in document x divided by the
     document's total count. Raises if any document has zero total count.
     """
-    counts = m.matrix
-    totals = np.asarray(counts.sum(axis=1)).ravel()
+    totals = np.asarray(m.matrix.sum(axis=1)).ravel()
     if np.any(totals <= 0):
         raise ValueError("empty document")
-    cond = sp.csr_array(counts.multiply(1.0 / totals[:, None]))
-    cond.sort_indices()
-    px = np.full(m.n_docs, 1.0 / m.n_docs)
-    return JointDistribution(px, cond)
+    return JointDistribution(np.full(m.n_docs, 1.0 / m.n_docs), _scaled(m.matrix, 1.0 / totals, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,28 @@ class ConvergenceError(ArithmeticError):
 
 
 def row_sq_norms(rows) -> np.ndarray:
-    """Squared L2 norm of every row, shape (n_rows,)."""
-    if sp.issparse(rows):
+    """Squared L2 norm of every row, shape (n_rows,).
+
+    Sparse rows: the squares of the stored values, on the input's own index
+    arrays, are summed by scipy's ``sum(axis=1)``, which is
+    ``np.add.reduceat`` over the stored order of each non-empty row. That is
+    the sum ``rows.multiply(rows).sum(axis=1)`` makes, bit for bit, without
+    the product's room for nnz(A) + nnz(B) entries. The product is still
+    taken for input that is not canonical (unsorted or repeated entries) or
+    holds a zero square (a stored zero, or an underflow): it sums repeated
+    entries, orders each such row its own way and stores no zero, and a
+    zero square would regroup ``reduceat``'s pairwise sum. Sorting such
+    input first would change the bits, so it is not done.
+    """
+    if not sp.issparse(rows):
+        rows = np.asarray(rows, dtype=float)
+        return np.einsum("ij,ij->i", rows, rows)
+    rows = sp.csr_array(rows)
+    squares = rows.data * rows.data
+    if not (rows.has_canonical_format and squares.all()):
         return np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
-    rows = np.asarray(rows, dtype=float)
-    return np.einsum("ij,ij->i", rows, rows)
+    squared = sp.csr_array((squares, rows.indices, rows.indptr), shape=rows.shape)
+    return np.asarray(squared.sum(axis=1)).ravel()
 
 
 def centroid(rows) -> np.ndarray:
@@ -51,7 +68,11 @@ def centroid(rows) -> np.ndarray:
     if rows.shape[0] == 0:
         raise ValueError("centroid of an empty cluster")
     if sp.issparse(rows):
-        return np.asarray(rows.mean(axis=0)).ravel()
+        # scipy's mean(axis=0) sums its rows times 1/n the same way, but on a
+        # copy of the index arrays too
+        rows = sp.csr_array(rows)
+        scaled = sp.csr_array((rows.data * (1.0 / rows.shape[0]), rows.indices, rows.indptr), rows.shape)
+        return np.asarray(scaled.sum(axis=0)).ravel()
     return np.asarray(rows, dtype=float).mean(axis=0)
 
 
@@ -97,6 +118,14 @@ def cluster_sums(matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     return sums, counts
 
 
+def member_rows(matrix, members: np.ndarray):
+    """The rows ``members`` of ``matrix``: the matrix itself, not a gathered
+    copy, when they are every row in order (the PDDP root)."""
+    if members.size == matrix.shape[0] and np.array_equal(members, np.arange(members.size)):
+        return matrix
+    return matrix[members]
+
+
 @dataclass
 class ClusterStats:
     """Summary of one cluster: member row indices, centroid, scatter, and
@@ -112,7 +141,7 @@ class ClusterStats:
         """Stats of the rows ``members`` of ``matrix``; ``sq_norms``, if
         given, must be ``row_sq_norms(matrix)``."""
         members = np.asarray(members, dtype=np.intp)
-        rows = matrix[members]
+        rows = member_rows(matrix, members)
         c = centroid(rows)
         rn = None if sq_norms is None else sq_norms[members]
         d2 = sq_distances(rows, c, sq_norms=rn)[:, 0]

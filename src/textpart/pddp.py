@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model_select
-from .linalg import ClusterStats, DegenerateClusterError, centroid, principal_direction, row_sq_norms
+from .linalg import (ClusterStats, DegenerateClusterError, centroid, member_rows, principal_direction,
+                     row_sq_norms)
 from .partition import Partition
 
 STOP_RULES = ("fixed", "csv", "bic")
@@ -75,7 +76,7 @@ def split_cluster(members, matrix, seed=0, *, center: np.ndarray | None = None,
     members = np.asarray(members, dtype=np.intp)
     if members.size < 2:
         raise ValueError("cannot split a cluster with fewer than 2 members")
-    rows = matrix[members]
+    rows = member_rows(matrix, members)
     w = centroid(rows) if center is None else center
     rn = None if sq_norms is None else sq_norms[members]
     u = principal_direction(rows, seed, center=w, sq_norms=rn, sse=sse)
@@ -111,6 +112,8 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
     leaves, kept in node-id order as the tree grows. Unsplittable leaves
     (identical rows) are marked final and skipped. If the leaves run out
     before a fixed/CSV rule fires, the tree is returned with ``warning`` set.
+    A row whose squared norm overflows float64 raises ``ValueError`` before
+    the first split.
     """
     n = matrix.shape[0]
     if n < 2:
@@ -121,14 +124,15 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     rng = np.random.default_rng(seed)
 
-    root_stats = ClusterStats.from_rows(matrix, np.arange(n, dtype=np.intp))
-    tree = ClusterTree([TreeNode(0, None, 0, root_stats)])
     # A split takes its node's centroid and sse from the node's ClusterStats
-    # and its rows' norms from this array, and re-slices the rows. The array
-    # is made after the root's stats: made first, it sat above their
-    # transient copies on the heap and kept them resident (+2-3 MB peak RSS
-    # on a 20k x 2k tf-idf matrix).
-    sq_norms = row_sq_norms(matrix)
+    # and its rows' norms from this array, and re-slices the rows.
+    with np.errstate(over="ignore"):
+        sq_norms = row_sq_norms(matrix)
+    finite = np.isfinite(sq_norms)
+    if not finite.all():
+        raise ValueError(f"document at row {finite.argmin()}: its squared norm overflows float64")
+    root_stats = ClusterStats.from_rows(matrix, np.arange(n, dtype=np.intp), sq_norms=sq_norms)
+    tree = ClusterTree([TreeNode(0, None, 0, root_stats)])
 
     # The current leaves in node-id order: a split removes its node and
     # appends its two children, which take the next two ids.

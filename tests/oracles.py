@@ -304,6 +304,67 @@ def build_matrix_lists(docs, min_count: int = 2, doc_ids=None):
     return TermDocMatrix(matrix, tuple(vocab), tuple(kept_ids)), dropped
 
 
+# The four functions below are the weighting and norm code as it was before
+# it worked on the CSR arrays: each product goes through scipy's broadcasting
+# ``multiply``, and ``tfidf_weight`` copies the matrix for ``counts > 0``,
+# ``eliminate_zeros`` and the kept rows. Their bodies are copied verbatim;
+# only the names differ.
+
+
+def row_sq_norms_multiply(rows) -> np.ndarray:
+    """Squared L2 norm of every row, shape (n_rows,)."""
+    if sp.issparse(rows):
+        return np.asarray(rows.multiply(rows).sum(axis=1)).ravel()
+    rows = np.asarray(rows, dtype=float)
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def tfidf_weight_multiply(m):
+    """Replace raw counts by L2-normalized tf-idf weights."""
+    from textpart.corpus import TermDocMatrix
+
+    counts = m.matrix
+    n = m.n_docs
+    if n < 1:
+        raise ValueError("tfidf_weight needs at least one document")
+    df = np.asarray((counts > 0).sum(axis=0)).ravel()
+    with np.errstate(divide="ignore"):
+        idf = np.where(df > 0, np.log(n / np.maximum(df, 1)), 0.0)
+
+    weighted = sp.csr_array(counts.multiply(idf[None, :]))
+    weighted.eliminate_zeros()
+
+    row_norms = np.sqrt(row_sq_norms_multiply(weighted))
+    keep = row_norms > 0
+    dropped = [m.doc_ids[i] for i in np.nonzero(~keep)[0]]
+    weighted = weighted[keep]
+    inv = 1.0 / row_norms[keep]
+    weighted = sp.csr_array(weighted.multiply(inv[:, None]))
+    weighted.sort_indices()
+    kept_ids = tuple(d for d, k in zip(m.doc_ids, keep) if k)
+    return TermDocMatrix(weighted, m.vocab, kept_ids), dropped
+
+
+def word_conditionals_multiply(m):
+    """Normalize raw counts into p(y|x) rows with uniform p(x) = 1/n."""
+    from textpart.corpus import JointDistribution
+
+    counts = m.matrix
+    totals = np.asarray(counts.sum(axis=1)).ravel()
+    if np.any(totals <= 0):
+        raise ValueError("empty document")
+    cond = sp.csr_array(counts.multiply(1.0 / totals[:, None]))
+    cond.sort_indices()
+    px = np.full(m.n_docs, 1.0 / m.n_docs)
+    return JointDistribution(px, cond)
+
+
+def joint_rows_multiply(joint) -> sp.csr_array:
+    """Rows of p(x, y) = p(x) p(y|x)."""
+    scaled = joint.py_given_x.multiply(joint.px[:, None])
+    return sp.csr_array(scaled)
+
+
 def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0):
     """PDDP with every split computing its own statistics (no sharing).
 

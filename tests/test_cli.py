@@ -386,6 +386,39 @@ def test_cluster_rejects_non_finite_matrix_value(tmp_path, capsys, value):
         assert not out.exists()
 
 
+def _write_beyond_square_matrix(tmp_path):
+    """A 4 x 3 matrix whose documents d0 and d1 hold 1e308 and 1e200: finite
+    values whose squares, weighted or not, exceed the largest float64."""
+    (tmp_path / "big.mat").write_text("4 3 6\n0 0 1e308\n1 1 1e200\n2 0 1.0\n2 2 1.0\n"
+                                      "3 1 2.0\n3 2 1.0\n", encoding="utf-8")
+    (tmp_path / "big.vocab").write_text("a\nb\nc\n", encoding="utf-8")
+    (tmp_path / "big.docs").write_text("d0\nd1\nd2\nd3\n", encoding="utf-8")
+    return tmp_path / "big"
+
+
+@pytest.mark.parametrize("weighting, named", [("tfidf", "document 'd0'"), ("none", "document at row 0")])
+@pytest.mark.parametrize("algo", ["pddp", "pddp+sgem"])
+def test_cluster_rejects_a_squared_norm_beyond_float64(tmp_path, capsys, weighting, named, algo):
+    """Exit 1 before any clustering, naming the first such document; no
+    numpy warning is raised on the way (tier-1 makes it an error)."""
+    prefix = _write_beyond_square_matrix(tmp_path)
+    out = tmp_path / "big.report"
+    assert main(["cluster", str(prefix), "--algo", algo, "--stop", "fixed", "--k", "3",
+                 "--weighting", weighting, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"textpart: error: {named}: ") and "norm overflows float64" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sib_without_weighting_never_squares_a_row(tmp_path):
+    prefix = _write_beyond_square_matrix(tmp_path)
+    out = tmp_path / "big.report"
+    assert main(["cluster", str(prefix), "--algo", "sib", "--stop", "fixed", "--k", "3",
+                 "--weighting", "none", "--output", str(out)]) == 0
+    assert read_report(out).k_found == 3
+
+
 def test_cluster_malformed_matrix_line_exits_1(tmp_path, capsys):
     prefix = tmp_path / "bad"
     (tmp_path / "bad.mat").write_text("3 2 3\n0 0 1.0\n1 1\n2 0 2.0\n", encoding="utf-8")

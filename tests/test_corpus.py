@@ -283,6 +283,101 @@ def test_pruning_monotonicity():
         assert small <= big
 
 
+def test_tfidf_weight_rejects_a_squared_norm_beyond_float64():
+    """Documents d0 and d1 hold counts whose tf-idf weights square past the
+    largest float64; the first of them is named, before any row is dropped."""
+    counts = np.array([[1e308, 0.0, 0.0], [0.0, 1e200, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+    tdm = TermDocMatrix(sp.csr_array(counts), ("a", "b", "c"), ("d0", "d1", "d2", "d3"))
+    with pytest.raises(ValueError, match=r"^document 'd0': squared tf-idf norm overflows float64$"):
+        tfidf_weight(tdm)
+
+
+def _same_csr(a, b) -> bool:
+    """Same shape, and the same bytes and dtypes in all three CSR arrays."""
+    return a.shape == b.shape and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+
+@st.composite
+def _count_matrices(draw):
+    """A canonical CSR matrix of nonnegative values with stored zeros,
+    values whose squares underflow, empty rows (in some cases the first and
+    the last) or a term that every document holds, and int32 or int64
+    index arrays."""
+    n_docs, n_terms = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    value = st.sampled_from([0.0, 1e-200]) | st.integers(1, 4).map(float) | st.floats(1e-30, 1e30)
+    rows = [sorted(draw(st.sets(st.integers(0, n_terms - 1)))) for _ in range(n_docs)]
+    shape = draw(st.sampled_from(["random", "empty-ends", "common-term"]))
+    if shape == "empty-ends":
+        rows[0] = rows[-1] = []
+    if shape == "common-term":
+        rows = [sorted(set(row) | {0}) for row in rows]
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    indices = np.array([j for row in rows for j in row], dtype=dtype)
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(dtype)
+    data = np.array(draw(st.lists(value, min_size=indices.size, max_size=indices.size)), dtype=float)
+    if shape == "common-term":
+        data[indptr[:-1]] += 1.0  # every document holds term 0
+    matrix = sp.csr_array((data, indices, indptr), shape=(n_docs, n_terms))
+    return TermDocMatrix(matrix, tuple(f"t{j}" for j in range(n_terms)),
+                         tuple(f"d{i}" for i in range(n_docs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tdm=_count_matrices())
+def test_weighting_matches_the_multiply_oracles_bitwise(tdm):
+    weighted, dropped = tfidf_weight(tdm)
+    expected, expected_dropped = oracles.tfidf_weight_multiply(tdm)
+    assert _same_csr(weighted.matrix, expected.matrix)
+    assert (weighted.doc_ids, dropped) == (expected.doc_ids, expected_dropped)
+    try:
+        expected = oracles.word_conditionals_multiply(tdm)
+    except ValueError as exc:  # an empty document
+        with pytest.raises(ValueError, match=str(exc)):
+            word_conditionals(tdm)
+        return
+    joint = word_conditionals(tdm)
+    assert _same_csr(joint.py_given_x, expected.py_given_x)
+    assert joint.px.tobytes() == expected.px.tobytes()
+    assert _same_csr(joint.joint_rows(), oracles.joint_rows_multiply(expected))
+
+
+def test_weighting_an_unsorted_matrix_weights_its_canonical_form():
+    """Document d0 holds term 2 twice, out of column order. Its weights are
+    those of the summed, sorted matrix, and the input's arrays stay as they
+    were, though a result on shared index arrays is sorted in place."""
+    messy = sp.csr_array((np.array([1.0, 2.0, 1.0, 3.0, 1.0, 1.0]), np.array([2, 0, 2, 1, 0, 1]),
+                          np.array([0, 3, 5, 6])), shape=(3, 3))
+    before = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
+    canonical = messy.copy()
+    canonical.sum_duplicates()
+    vocab, doc_ids = ("a", "b", "c"), ("d0", "d1", "d2")
+    weighted = tfidf_weight(TermDocMatrix(messy, vocab, doc_ids))[0].matrix
+    assert _same_csr(weighted, tfidf_weight(TermDocMatrix(canonical, vocab, doc_ids))[0].matrix)
+    joint = word_conditionals(TermDocMatrix(messy, vocab, doc_ids))
+    joint.joint_rows().sort_indices()
+    assert joint.py_given_x.has_canonical_format
+    assert all(np.array_equal(a, b) for a, b in zip((messy.data, messy.indices, messy.indptr), before))
+
+
+def test_tfidf_weight_peak_memory_is_two_thirds_of_the_multiply_oracle(tmp_path):
+    """The weights on the input's index arrays, against scipy's products,
+    the COO round trips and the copies of the oracle; on the matrix as
+    ``textpart cluster`` reads it."""
+    write_matrix(multinomial_corpus(0, n_docs=4000, vocab_size=1000)[0], tmp_path / "m")
+    tdm = read_matrix(tmp_path / "m")
+    peaks = []
+    for weight in (tfidf_weight, oracles.tfidf_weight_multiply):
+        tracemalloc.start()
+        try:
+            weight(tdm)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 3 * peaks[0] <= 2 * peaks[1], f"peak {peaks[0]} bytes against the oracle's {peaks[1]}"
+
+
 # --- word_conditionals -----------------------------------------------------
 
 def test_word_conditionals_symmetric_row():

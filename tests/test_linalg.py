@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datagen import near_tied_cloud
-from oracles import cluster_sums_loop, dense_covariance, top_eigvec_dense
+from datagen import multinomial_corpus, near_tied_cloud
+from oracles import cluster_sums_loop, dense_covariance, row_sq_norms_multiply, top_eigvec_dense
 from textpart import linalg
+from textpart.corpus import read_matrix, tfidf_weight, write_matrix
 from textpart.linalg import (
     ClusterStats,
     ConvergenceError,
@@ -111,6 +114,68 @@ def test_cluster_sums_matches_loop_oracle_bitwise(case):
     assert sums.shape == ref_sums.shape == (k, M.shape[1])
     assert np.array_equal(counts, ref_counts)
     assert sums.tobytes() == ref_sums.tobytes()
+
+
+@st.composite
+def _csr_rows(draw):
+    """A CSR matrix with stored zeros, values whose squares underflow,
+    empty rows, int32 or int64 index arrays and, in some cases, rows whose
+    entries are out of column order or repeat a column."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(0, 10), min_size=n_rows, max_size=n_rows))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    nnz = sum(sizes)
+    indices = np.array(draw(st.lists(st.integers(0, n_cols - 1), min_size=nnz, max_size=nnz)), dtype=dtype)
+    value = st.sampled_from([0.0, 1e-170, 0.1, 1 / 3, 0.7, 1e100]) | st.floats(-10.0, 10.0)
+    data = np.array(draw(st.lists(value, min_size=nnz, max_size=nnz)), dtype=float)
+    indptr = np.cumsum([0] + sizes).astype(dtype)
+    M = sp.csr_array((data, indices, indptr), shape=(n_rows, n_cols))
+    if draw(st.booleans()):
+        M.sum_duplicates()  # canonical: sorted columns, none repeated
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_csr_rows())
+def test_row_sq_norms_and_centroid_match_scipy_bitwise(M):
+    norms = linalg.row_sq_norms(M)
+    expected = row_sq_norms_multiply(M)
+    assert norms.dtype == expected.dtype and norms.tobytes() == expected.tobytes()
+    mean = np.asarray(M.mean(axis=0)).ravel()
+    assert centroid(M).tobytes() == mean.tobytes()
+
+
+def _peak_bytes(f, *args) -> int:
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def tfidf_as_read(tmp_path_factory):
+    """A 4000 x 1000 tf-idf matrix, weighted from the counts as ``textpart
+    cluster`` reads them (int64 index arrays)."""
+    prefix = tmp_path_factory.mktemp("m") / "m"
+    write_matrix(multinomial_corpus(0, n_docs=4000, vocab_size=1000)[0], prefix)
+    return tfidf_weight(read_matrix(prefix))[0].matrix
+
+
+def test_row_sq_norms_peak_memory_is_a_third_of_the_multiply_oracle(tfidf_as_read):
+    """The squares alone, against scipy's product with room for twice the entries."""
+    peak, expected = (_peak_bytes(f, tfidf_as_read) for f in (linalg.row_sq_norms, row_sq_norms_multiply))
+    assert 3 * peak <= expected, f"peak {peak} bytes against the oracle's {expected}"
+
+
+def test_root_cluster_stats_peak_memory_is_half_a_gathered_copys(tfidf_as_read):
+    """Every row in order reads the matrix itself; every row in reverse
+    order gathers a copy of it first."""
+    rows = np.arange(tfidf_as_read.shape[0])
+    peak, gathered = (_peak_bytes(ClusterStats.from_rows, tfidf_as_read, members)
+                      for members in (rows, rows[::-1]))
+    assert 2 * peak <= gathered, f"peak {peak} bytes against the gathered copy's {gathered}"
 
 
 def test_scatter_translation_invariance():
