@@ -32,12 +32,7 @@ _MODULE_OF = {
     "csv": "model_select",
     "csv_stop": "model_select",
     "e_step": "sgem",
-    "information_xy": "sib",
-    "js_divergence": "sib",
-    "kl_divergence": "sib",
     "m_step": "sgem",
-    "merge_cost": "sib",
-    "mutual_information": "sib",
     "nmi": "evaluate",
     "param_count": "model_select",
     "pddp_run": "pddp",

@@ -15,7 +15,7 @@ local maximum; several seeded restarts keep the best partition found.
 
 Cluster statistics are kept incrementally: p(t), the per-cluster word
 mass b = sum_{x in t} p(x) p(y|x) and a table of b log b are updated on
-every move, and the conditionals p(y|t) are materialized only when needed.
+every move. The conditionals p(y|t) = b / p(t) are never materialized.
 Merge costs are evaluated on the support of the drawn document via the
 entropy identity
 
@@ -24,7 +24,11 @@ entropy identity
 which costs O(K * |supp(x)|) per step. A step gathers b and b log b on
 supp(x) and draws x out of its own row of that copy, so a document that
 stays in its cluster writes nothing; only a move writes the two touched
-rows back.
+rows back. I(T; Y) is read from the same table (``SibState.information``).
+
+This module holds only these incremental forms. The definitional ones,
+KL and JS divergences, d(x, t) from the conditionals and I(T; Y) of an
+assignment, are the test suite's reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -39,81 +43,19 @@ from .linalg import cluster_sums
 from .partition import Partition
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Kullback-Leibler divergence sum_y p log(p/q), natural log, 0 log 0 = 0.
-
-    Requires supp(p) a subset of supp(q); raises ValueError otherwise.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        raise ValueError("KL divergence undefined: supp(p) not within supp(q)")
-    pm = p[mask]
-    return float(np.sum(pm * (np.log(pm) - np.log(q[mask]))))
-
-
-def js_divergence(p: np.ndarray, q: np.ndarray, pi1: float, pi2: float) -> float:
-    """Weighted Jensen-Shannon divergence pi1 KL(p||m) + pi2 KL(q||m), m = pi1 p + pi2 q."""
-    if pi1 < 0 or pi2 < 0 or abs(pi1 + pi2 - 1.0) > 1e-12:
-        raise ValueError("JS weights must be nonnegative and sum to 1")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mix = pi1 * p + pi2 * q
-    out = 0.0
-    if pi1 > 0:
-        out += pi1 * kl_divergence(p, mix)
-    if pi2 > 0:
-        out += pi2 * kl_divergence(q, mix)
-    return out
-
-
-def merge_cost(px: float, py_x: np.ndarray, pt: float, py_t: np.ndarray) -> float:
-    """Information lost by absorbing singleton x into cluster t.
-
-    d(x, t) = (p(x) + p(t)) * JS(p(y|x), p(y|t)) with JS weights
-    p(x)/(p(x)+p(t)) and p(t)/(p(x)+p(t)). An empty target (p(t) = 0)
-    costs nothing.
-    """
-    if pt == 0.0:
-        return 0.0
-    total = px + pt
-    return total * js_divergence(py_x, py_t, px / total, pt / total)
-
-
 @dataclass
 class IBPartition:
     """A hard partition with its bottleneck statistics.
 
-    ``pt[j]`` is the cluster prior sum_{x in j} p(x); ``py_given_t[j]`` the
-    cluster word conditional; ``score`` the retained information I(T; Y).
+    ``pt[j]`` is the cluster prior sum_{x in j} p(x) and ``score`` the
+    retained information I(T; Y). The cluster word conditional p(y|t) is
+    the cluster's row sum of ``joint.joint_rows()`` over ``pt[j]``.
     """
 
     k: int
     assignment: np.ndarray
     pt: np.ndarray
-    py_given_t: np.ndarray
     score: float
-
-
-def mutual_information(part: IBPartition, joint: JointDistribution) -> float:
-    """I(T; Y) = sum_{t,y} p(t) p(y|t) log(p(y|t) / p(y)), natural log."""
-    py = joint.py()
-    with np.errstate(divide="ignore"):
-        log_py = np.where(py > 0, np.log(np.maximum(py, 1e-300)), 0.0)
-    q = part.py_given_t
-    per_cluster = xlogy(q, q).sum(axis=1) - (q * log_py[None, :]).sum(axis=1)
-    return float((part.pt * per_cluster).sum())
-
-
-def information_xy(joint: JointDistribution) -> float:
-    """I(X; Y) of the joint itself: the ceiling for any partition's I(T; Y)."""
-    rows = joint.joint_rows()
-    py = joint.py()
-    h_joint = float(xlogy(rows.data, rows.data).sum())
-    h_x = float(xlogy(joint.px, joint.px).sum())
-    h_y = float(xlogy(py, py).sum())
-    return h_joint - h_x - h_y
 
 
 class SibState:
@@ -159,20 +101,15 @@ class SibState:
         lo, hi = self._indptr[x], self._indptr[x + 1]
         return self._indices[lo:hi], self._data[lo:hi]
 
-    def merge_costs_from(self, x: int) -> np.ndarray:
-        """Cost vector d(x, t) for all clusters, with x drawn out of its own.
-
-        The draw-out is made on gathered copies; the state is not written.
-        """
-        return self._merge_costs(x)[0]
-
     def _merge_costs(self, x: int) -> tuple[np.ndarray, ...]:
         """``(costs, b, b_log_b, ab, ab_log_ab)`` for document x.
 
-        ``b`` is the word mass on supp(x), gathered with x's own row drawn
-        out; ``ab = b + a`` the mass each cluster would hold with x merged
-        in; ``b_log_b`` and ``ab_log_ab`` their xlogy. A move writes row
-        ``t_old`` of ``b`` and row ``t_new`` of ``ab`` back.
+        ``costs`` is d(x, t) for every cluster t, with x drawn out of its
+        own. The draw-out is made on gathered copies; the state is not
+        written. ``b`` is the word mass on supp(x), gathered with x's own
+        row drawn out; ``ab = b + a`` the mass each cluster would hold with
+        x merged in; ``b_log_b`` and ``ab_log_ab`` their xlogy. A move
+        writes row ``t_old`` of ``b`` and row ``t_new`` of ``ab`` back.
         """
         t_old = self.assignment[x]
         cols, avals = self._doc_row(x)
@@ -229,13 +166,8 @@ class SibState:
         h_t = float(xlogy(self.pt, self.pt).sum())
         return h_tj - h_t - self._neg_h_y
 
-    def py_given_t(self) -> np.ndarray:
-        return self.word_mass / np.maximum(self.pt[:, None], 1e-300)
-
     def to_partition(self) -> IBPartition:
-        return IBPartition(
-            self.k, self.assignment.copy(), self.pt.copy(), self.py_given_t(), self.information()
-        )
+        return IBPartition(self.k, self.assignment.copy(), self.pt.copy(), self.information())
 
 
 def random_assignment(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

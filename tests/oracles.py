@@ -1,9 +1,18 @@
-"""Independent reference implementations used to check the library.
+"""Reference implementations used to check the library.
 
-Everything here is deliberately brute force: dense covariance
-eigendecompositions, exhaustive bipartition enumeration, and from-scratch
-statistic recomputation. None of it shares code with the package paths it
-verifies.
+Two kinds of code live here. The definitional references are brute force:
+dense covariance eigendecompositions, exhaustive bipartition enumeration,
+from-scratch statistic recomputation, I(T; Y) of an assignment, and the
+KL and JS divergences and merge cost d(x, t) from the conditionals. None
+of these shares code with the package paths it verifies.
+
+The rest are kept copies of code the package replaced (for example
+``pddp_run_recompute``, ``sib_run_sequential``, ``run_clustering_branches``
+and ``sib_run_branches``). They reuse package stages on purpose:
+``pddp_run``, ``sgem_run``, ``SibState``, ``cluster_sums``, the tree types
+and the corpus types, each checked on its own elsewhere. So only the
+replaced step or flow is under test, and its output can be compared with
+the package's bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +56,13 @@ def information_of_assignment(joint, assignment: np.ndarray, k: int) -> float:
     return total
 
 
+def information_xy(joint) -> float:
+    """I(X; Y) of the joint: the information of the all-singletons assignment,
+    the ceiling for any partition's I(T; Y)."""
+    n = joint.n_docs
+    return information_of_assignment(joint, np.arange(n), n)
+
+
 def best_bipartition_information(joint) -> float:
     """Maximum I(T;Y) over all 2^(n-1) - 1 bipartitions (doc 0 pinned left)."""
     n = joint.n_docs
@@ -55,6 +71,48 @@ def best_bipartition_information(joint) -> float:
         assignment = np.array([(mask >> i) & 1 for i in range(n)], dtype=np.int64)
         best = max(best, information_of_assignment(joint, assignment, 2))
     return best
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """Kullback-Leibler divergence sum_y p log(p/q), natural log, 0 log 0 = 0.
+
+    Requires supp(p) a subset of supp(q); raises ValueError otherwise.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    mask = p > 0
+    if np.any(q[mask] <= 0):
+        raise ValueError("KL divergence undefined: supp(p) not within supp(q)")
+    pm = p[mask]
+    return float(np.sum(pm * (np.log(pm) - np.log(q[mask]))))
+
+
+def js_divergence(p: np.ndarray, q: np.ndarray, pi1: float, pi2: float) -> float:
+    """Weighted Jensen-Shannon divergence pi1 KL(p||m) + pi2 KL(q||m), m = pi1 p + pi2 q."""
+    if pi1 < 0 or pi2 < 0 or abs(pi1 + pi2 - 1.0) > 1e-12:
+        raise ValueError("JS weights must be nonnegative and sum to 1")
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    mix = pi1 * p + pi2 * q
+    out = 0.0
+    if pi1 > 0:
+        out += pi1 * kl_divergence(p, mix)
+    if pi2 > 0:
+        out += pi2 * kl_divergence(q, mix)
+    return out
+
+
+def merge_cost(px: float, py_x: np.ndarray, pt: float, py_t: np.ndarray) -> float:
+    """Information lost by absorbing singleton x into cluster t.
+
+    d(x, t) = (p(x) + p(t)) * JS(p(y|x), p(y|t)) with JS weights
+    p(x)/(p(x)+p(t)) and p(t)/(p(x)+p(t)). An empty target (p(t) = 0)
+    costs nothing.
+    """
+    if pt == 0.0:
+        return 0.0
+    total = px + pt
+    return total * js_divergence(py_x, py_t, px / total, pt / total)
 
 
 def cluster_stats_from_scratch(joint, assignment: np.ndarray, k: int):
@@ -672,7 +730,8 @@ def run_clustering_branches(
 # The sIB step as it was before the cluster word mass's xlogy was cached:
 # the document is drawn out of its cluster in place, ``merge_costs_from``
 # scores the mutated state, and the pre-draw values are restored when the
-# document stays. The class body is copied verbatim; only its name differs.
+# document stays. The class body is copied verbatim; only its name differs,
+# and ``to_partition`` builds ``IBPartition`` with its present fields.
 # ``sib_run_sequential`` is ``sib_run`` driving this state.
 
 
@@ -771,13 +830,8 @@ class SibStateSequential:
         h_t = float(xlogy(self.pt, self.pt).sum())
         return h_tj - h_t - self._neg_h_y
 
-    def py_given_t(self) -> np.ndarray:
-        return self.word_mass / np.maximum(self.pt[:, None], 1e-300)
-
     def to_partition(self) -> IBPartition:
-        return IBPartition(
-            self.k, self.assignment.copy(), self.pt.copy(), self.py_given_t(), self.information()
-        )
+        return IBPartition(self.k, self.assignment.copy(), self.pt.copy(), self.information())
 
 
 

@@ -501,6 +501,50 @@ def test_cluster_k_beyond_the_document_count_exits_1(tmp_path, capsys, algo):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algo, k_found", [("pddp", 3), ("pddp+sgem", 3), ("pddp+sib", 3),
+                                           ("sib", 4)])
+def test_cluster_fixed_k_beyond_the_distinct_documents(tmp_path, capsys, algo, k_found):
+    """Rows a, a, b, b, a+b are three distinct documents, so PDDP runs out of
+    splittable leaves at 3 under --k 4: exit 0 with a warning, `param k 4`
+    and `k_found 3`. sib keeps exactly K clusters."""
+    (tmp_path / "ex.mat").write_text("5 2 6\n0 0 1.0\n1 0 1.0\n2 1 1.0\n3 1 1.0\n4 0 1.0\n"
+                                     "4 1 1.0\n", encoding="utf-8")
+    (tmp_path / "ex.vocab").write_text("a\nb\n", encoding="utf-8")
+    (tmp_path / "ex.docs").write_text("d0\nd1\nd2\nd3\nd4\n", encoding="utf-8")
+    out = tmp_path / "ex.report"
+    assert main(["cluster", str(tmp_path / "ex"), "--algo", algo, "--weighting", "none",
+                 "--stop", "fixed", "--k", "4", "--output", str(out)]) == 0
+    warned = "warning: leaves exhausted before the stopping rule fired\n" in capsys.readouterr().err
+    assert warned == (algo != "sib")
+    rep = read_report(out)
+    assert ("k", "4") in rep.params
+    assert rep.k_found == k_found
+
+
+def test_eval_after_tfidf_drops_documents_takes_labels_of_the_kept_ones(tmp_path, capsys):
+    """tf-idf drops d0 and d3, which hold only the term in every document.
+    The report assigns d1 and d2 alone, so eval takes their labels, in
+    .docs order; the four-line labels file does not match."""
+    (tmp_path / "dr.mat").write_text("4 3 6\n0 0 1.0\n1 0 1.0\n1 1 2.0\n2 0 1.0\n2 2 3.0\n"
+                                     "3 0 2.0\n", encoding="utf-8")
+    (tmp_path / "dr.vocab").write_text("u\nv\nw\n", encoding="utf-8")
+    (tmp_path / "dr.docs").write_text("d0\nd1\nd2\nd3\n", encoding="utf-8")
+    out = tmp_path / "dr.report"
+    assert main(["cluster", str(tmp_path / "dr"), "--algo", "pddp", "--stop", "fixed",
+                 "--k", "2", "--output", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert ("dropped document with no informative terms: d0\n"
+            "dropped document with no informative terms: d3\n") in err
+    assert [d for d, _ in read_report(out).assignments] == ["d1", "d2"]
+    full, kept = tmp_path / "full.labels", tmp_path / "kept.labels"
+    full.write_text("A\nB\nC\nA\n", encoding="utf-8")
+    kept.write_text("B\nC\n", encoding="utf-8")
+    assert main(["eval", str(out), str(full)]) == 1
+    assert "label count 4 does not match assignment count 2" in capsys.readouterr().err
+    assert main(["eval", str(out), str(kept)]) == 0
+    assert capsys.readouterr().out.strip() == "1.0000"
+
+
 def test_cluster_unconverged_eigen_solve_exits_1(tmp_path, capsys, monkeypatch):
     X = near_tied_cloud(0)
     prefix = tmp_path / "tied"

@@ -12,21 +12,17 @@ from oracles import (
     best_bipartition_information,
     cluster_stats_from_scratch,
     information_of_assignment,
-    sib_run_branches,
-    sib_run_sequential,
-)
-from textpart import JointDistribution
-from textpart.corpus import build_matrix, tokenize, word_conditionals
-from textpart.sib import (
-    SibState,
     information_xy,
     js_divergence,
     kl_divergence,
     merge_cost,
-    mutual_information,
-    random_assignment,
-    sib_run,
+    sib_run_branches,
+    sib_run_sequential,
 )
+from textpart import JointDistribution, nmi
+from textpart.cli import run_clustering
+from textpart.corpus import build_matrix, tokenize, word_conditionals
+from textpart.sib import SibState, random_assignment, sib_run
 
 LOG2 = math.log(2.0)
 
@@ -107,13 +103,12 @@ def test_mutual_information_independent_clusters():
     # a single cluster always has p(y|t) = p(y)
     part = sib_run(joint, 1, n_restarts=1, seed=0)
     assert part.score == pytest.approx(0.0, abs=1e-12)
-    assert mutual_information(part, joint) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_disjoint_clusters():
     joint = _two_doc_joint()
     part = sib_run(joint, 2, n_restarts=1, seed=0)
-    assert mutual_information(part, joint) == pytest.approx(LOG2)
+    assert part.score == pytest.approx(LOG2)
 
 
 def test_mutual_information_bounded_by_ixy():
@@ -121,7 +116,7 @@ def test_mutual_information_bounded_by_ixy():
         joint = random_joint(12, 6, seed=seed)
         for k in (2, 3, 5):
             part = sib_run(joint, k, n_restarts=3, seed=seed)
-            assert mutual_information(part, joint) <= information_xy(joint) + 1e-9
+            assert part.score <= information_xy(joint) + 1e-9
 
 
 # --- the sequential algorithm ---------------------------------------------------
@@ -250,7 +245,7 @@ def test_sib_merge_costs_match_definition():
         pt[t_old] -= px
         mass[t_old] -= px * cond[x]
         before = _state_bytes(state)
-        fast = state.merge_costs_from(x)
+        fast = state._merge_costs(x)[0]
         assert _state_bytes(state) == before  # the draw-out is made on copies
         for t in range(k):
             expected = merge_cost(px, cond[x], pt[t], mass[t] / pt[t])
@@ -272,10 +267,8 @@ def test_sib_partition_statistics_invariants():
     part = sib_run(joint, 4, n_restarts=3, seed=1)
     assert np.all(part.pt > 0)
     assert abs(part.pt.sum() - 1.0) <= 1e-12
-    row_sums = part.py_given_t.sum(axis=1)
-    assert np.abs(row_sums - 1.0).max() <= 1e-9
-    pt, mass = cluster_stats_from_scratch(joint, part.assignment, 4)
-    assert np.abs(part.py_given_t - mass / pt[:, None]).max() <= 1e-9
+    pt, _ = cluster_stats_from_scratch(joint, part.assignment, 4)
+    assert np.abs(part.pt - pt).max() <= 1e-12
 
 
 def test_sib_score_matches_definitional_information():
@@ -283,7 +276,6 @@ def test_sib_score_matches_definitional_information():
     part = sib_run(joint, 3, n_restarts=2, seed=0)
     oracle = information_of_assignment(joint, part.assignment, 3)
     assert part.score == pytest.approx(oracle, abs=1e-9)
-    assert mutual_information(part, joint) == pytest.approx(oracle, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,6 +290,25 @@ def test_sib_run_returns_exactly_k_nonempty_clusters(n, m, data, seed):
     if len(set(init)) == k:  # refinement mode starts from a partition with no empty cluster
         refined = sib_run(joint, k, max_loops=3, seed=seed, init=np.array(init))
         assert np.all(np.bincount(refined.assignment, minlength=k) > 0)
+
+
+# --- the paper's pipeline: PDDP leaves reallocated by one sIB sweep ----------
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pddp_sib_beats_pddp_on_the_c9_corpora(seed):
+    """On C9's corpora, one sweep from the PDDP leaves raises NMI on every
+    seed, and never lowers I(T;Y) below the leaves' own (each step keeps or
+    raises it)."""
+    tdm, labels = multinomial_corpus(seed)
+    joint = word_conditionals(tdm)
+    runs = {}
+    for algo in ("pddp", "pddp+sib"):
+        rep = run_clustering(tdm, algo, "fixed", k=8, maxl=15, seed=0)
+        assert [d for d, _ in rep.assignments] == list(tdm.doc_ids)
+        runs[algo] = np.array([c for _, c in rep.assignments])
+    assert nmi(runs["pddp+sib"], labels) > nmi(runs["pddp"], labels)
+    start = information_of_assignment(joint, runs["pddp"], 8)
+    assert information_of_assignment(joint, runs["pddp+sib"], 8) >= start - 1e-12
 
 
 # --- one loop over starts, checked against the separate init path -----------
@@ -319,7 +330,7 @@ def test_sib_run_matches_branching_oracle_bitwise(joint_seed, restarts, max_loop
     got = sib_run(joint, k, **kwargs)
     assert got.k == want.k
     assert got.assignment.dtype == want.assignment.dtype
-    for field in ("assignment", "pt", "py_given_t", "score"):
+    for field in ("assignment", "pt", "score"):
         assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
 
 
