@@ -76,17 +76,22 @@ def run_clustering(
     one sIB sweep from the leaves, ``sib`` by sIB from random restarts with
     K = ``k`` or the leaf count.
 
+    Each copy of the rows is held only while a stage reads it. ``tdm`` is
+    released once ``tfidf_weight`` and, on the sIB paths,
+    ``word_conditionals`` have read it; only its doc ids are kept for the
+    report. The weighted rows are released before ``sib_run``, which reads
+    the word conditionals alone. A caller that keeps its own reference to
+    ``tdm`` keeps the raw counts alive, and nothing else changes.
+
     The reported wall-clock time covers the clustering phase only (not
     matrix loading or weighting transforms).
     """
     if weighting == "tfidf":
         weighted, dropped = tfidf_weight(tdm)
-        if dropped:
-            for d in dropped:
-                print(f"dropped document with no informative terms: {d}", file=sys.stderr)
-            tdm = _subset_docs(tdm, set(weighted.doc_ids))
+        for d in dropped:
+            print(f"dropped document with no informative terms: {d}", file=sys.stderr)
     elif weighting == "none":
-        weighted = tdm
+        weighted, dropped = tdm, []
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
     if weighted.n_docs < 2:
@@ -94,8 +99,11 @@ def run_clustering(
     if algo not in PIPELINE_PARAMS:
         raise ValueError(f"unknown algorithm {algo!r}")
 
-    matrix = weighted.matrix
-    joint = word_conditionals(tdm) if algo in ("sib", "pddp+sib") else None
+    joint = None
+    if algo in ("sib", "pddp+sib"):
+        joint = word_conditionals(_subset_docs(tdm, set(weighted.doc_ids)) if dropped else tdm)
+    doc_ids, matrix = weighted.doc_ids, weighted.matrix
+    del tdm, weighted
 
     started = time.perf_counter()
     tree, k_run = None, k
@@ -106,6 +114,7 @@ def run_clustering(
     if algo == "pddp+sgem":
         labels = sgem_run(leaves, matrix, delta=delta)[0].labels
     elif joint is not None:
+        del matrix
         init = labels if algo == "pddp+sib" else None
         labels = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps,
                          seed=seed, init=init).assignment
@@ -126,7 +135,7 @@ def run_clustering(
         k_found=int(np.unique(labels).size),
         time_seconds=elapsed,
         tree=report_mod.tree_records(tree) if tree is not None else None,
-        assignments=[(doc_id, int(c)) for doc_id, c in zip(tdm.doc_ids, labels)],
+        assignments=[(doc_id, int(c)) for doc_id, c in zip(doc_ids, labels)],
     )
     return rep
 
@@ -150,9 +159,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    tdm = read_matrix(args.prefix)
+    # No frame here holds the raw counts, so run_clustering can release them.
     rep = run_clustering(
-        tdm,
+        read_matrix(args.prefix),
         algo=args.algo,
         stop=args.stop,
         k=args.k,

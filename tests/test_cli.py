@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 import oracles
 from datagen import corpus_texts, dense_matrix, five_clusters, multinomial_corpus, near_tied_cloud
 import textpart
-from textpart import linalg
+from textpart import cli, linalg
 from textpart.cli import ALGOS, main, run_clustering
 from textpart.corpus import read_corpus_dir, read_corpus_lines, read_stop_words, tokenize, write_matrix
 from textpart.report import format_report, read_report
@@ -386,14 +387,20 @@ def test_cluster_rejects_non_finite_matrix_value(tmp_path, capsys, value):
         assert not out.exists()
 
 
-def _write_beyond_square_matrix(tmp_path):
-    """A 4 x 3 matrix whose documents d0 and d1 hold 1e308 and 1e200: finite
-    values whose squares, weighted or not, exceed the largest float64."""
-    (tmp_path / "big.mat").write_text("4 3 6\n0 0 1e308\n1 1 1e200\n2 0 1.0\n2 2 1.0\n"
+def _write_large_matrix(tmp_path, d0, d1):
+    """A 4 x 3 matrix whose documents d0 and d1 hold one entry each, given
+    as ``"column value"``; d2 and d3 hold small counts."""
+    (tmp_path / "big.mat").write_text(f"4 3 6\n0 {d0}\n1 {d1}\n2 0 1.0\n2 2 1.0\n"
                                       "3 1 2.0\n3 2 1.0\n", encoding="utf-8")
     (tmp_path / "big.vocab").write_text("a\nb\nc\n", encoding="utf-8")
     (tmp_path / "big.docs").write_text("d0\nd1\nd2\nd3\n", encoding="utf-8")
     return tmp_path / "big"
+
+
+def _write_beyond_square_matrix(tmp_path):
+    """d0 and d1 hold 1e308 and 1e200: finite values whose squares, weighted
+    or not, exceed the largest float64."""
+    return _write_large_matrix(tmp_path, "0 1e308", "1 1e200")
 
 
 @pytest.mark.parametrize("weighting, named", [("tfidf", "document 'd0'"), ("none", "document at row 0")])
@@ -408,6 +415,33 @@ def test_cluster_rejects_a_squared_norm_beyond_float64(tmp_path, capsys, weighti
     err = capsys.readouterr().err
     assert err.startswith(f"textpart: error: {named}: ") and "norm overflows float64" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["pddp", "pddp+sgem", "pddp+sib", "sib"])
+def test_cluster_splits_rows_just_under_the_magnitude_bound(tmp_path, capsys, algo):
+    """1e76 squares to 1e152, under the bound: every pipeline runs without a
+    numpy warning (tier-1 makes it an error) and prints nothing on stderr."""
+    prefix = _write_large_matrix(tmp_path, "0 1e76", "0 1e76")
+    out = tmp_path / "big.report"
+    for stop in (["--stop", "fixed", "--k", "3"], ["--stop", "bic"]):
+        assert main(["cluster", str(prefix), "--algo", algo, *stop, "--weighting", "none",
+                     "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", ["1e78", "1.2e154"])
+@pytest.mark.parametrize("algo", ["pddp", "pddp+sgem", "pddp+sib"])
+def test_cluster_rejects_rows_beyond_the_magnitude_bound(tmp_path, capsys, value, algo):
+    """Finite squared norms that the eigen-solve would overflow exit 1 before
+    any split, naming the row, with no numpy warning on the way."""
+    prefix = _write_large_matrix(tmp_path, f"0 {value}", f"0 {value}")
+    out = tmp_path / "big.report"
+    assert main(["cluster", str(prefix), "--algo", algo, "--stop", "fixed", "--k", "3",
+                 "--weighting", "none", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("textpart: error: document at row 0: its squared norm ")
+    assert err.rstrip().endswith("is above 3.35e+153, the largest PDDP can split without overflow")
     assert not out.exists()
 
 
@@ -598,6 +632,49 @@ def test_run_clustering_pddp_sib_rejects_zero_restarts():
     with pytest.raises(ValueError, match="n_restarts"):
         run_clustering(_pipeline_corpus(0), "pddp+sib", "fixed", k=3, restarts=0)
 
+
+
+@pytest.mark.parametrize("algo, weighting, stage", [
+    ("sib", "tfidf", "sib_run"), ("pddp+sib", "tfidf", "sib_run"),
+    ("sib", "none", "sib_run"), ("pddp+sib", "none", "sib_run"),
+    ("pddp+sgem", "tfidf", "sgem_run"),
+])
+def test_cluster_releases_the_rows_before_the_refinement(tmp_path, monkeypatch, algo, weighting,
+                                                        stage):
+    """``read_matrix``'s result is dead, matrix included, when sGEM or sIB is
+    entered, and on the sIB paths so is ``tfidf_weight``'s. Document 5 of
+    the corpus is dropped by tf-idf, so the kept rows are a subset."""
+    prefix = tmp_path / "small"
+    write_matrix(_pipeline_corpus(0), prefix)
+    refs = {}
+
+    def keeps_refs(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            tdm = out[0] if name == "weighted" else out
+            refs[name] = (weakref.ref(tdm), weakref.ref(tdm.matrix))
+            return out
+        return wrapped
+
+    alive = {}
+
+    def records_liveness(fn):
+        def wrapped(*args, **kwargs):
+            alive.update({name: [r() is not None for r in pair] for name, pair in refs.items()})
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "read_matrix", keeps_refs("raw", cli.read_matrix))
+    monkeypatch.setattr(cli, "tfidf_weight", keeps_refs("weighted", cli.tfidf_weight))
+    monkeypatch.setattr(cli, stage, records_liveness(getattr(cli, stage)))
+    argv = ["cluster", str(prefix), "--algo", algo, "--stop", "fixed", "--k", "4",
+            "--restarts", "2", "--maxl", "3", "--weighting", weighting,
+            "--output", str(tmp_path / "small.report")]
+    assert main(argv) == 0
+    assert alive["raw"] == [False, False]
+    if weighting == "tfidf":
+        # sGEM reads the weighted rows, so only their TermDocMatrix is gone
+        assert alive["weighted"] == [False, stage == "sgem_run"]
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5"])
 def test_cluster_rejects_non_finite_or_negative_delta(capsys, value):
