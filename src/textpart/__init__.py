@@ -18,7 +18,6 @@ _MODULE_OF = {
     "ConvergenceError": "linalg",
     "DegenerateClusterError": "linalg",
     "EmptyCorpusError": "corpus",
-    "IBPartition": "sib",
     "JointDistribution": "corpus",
     "Partition": "partition",
     "SGemModel": "sgem",

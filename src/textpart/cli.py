@@ -106,25 +106,24 @@ def run_clustering(
     del tdm, weighted
 
     started = time.perf_counter()
-    tree, k_run = None, k
+    tree, part = None, None
     if algo != "sib" or stop != "fixed":
         tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
-        leaves = tree.partition()
-        labels, k_run = leaves.labels, leaves.k
+        part = tree.partition()
     if algo == "pddp+sgem":
-        labels = sgem_run(leaves, matrix, delta=delta)[0].labels
+        part = sgem_run(part, matrix, delta=delta)[0]
     elif joint is not None:
         del matrix
-        init = labels if algo == "pddp+sib" else None
-        labels = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps,
-                         seed=seed, init=init).assignment
+        init = part.labels if algo == "pddp+sib" else None
+        part = sib_run(joint, k if part is None else part.k, n_restarts=restarts,
+                       max_loops=maxl, eps=eps, seed=seed, init=init)
     elapsed = time.perf_counter() - started
     if tree is not None and tree.warning:
         print("warning: leaves exhausted before the stopping rule fired", file=sys.stderr)
 
     params = [("stop", stop), ("weighting", weighting)]
     if stop == "fixed" or algo == "sib":
-        params.append(("k", str(k if stop == "fixed" else k_run)))
+        params.append(("k", str(k if stop == "fixed" else part.k)))
     flags = {"delta": "auto" if delta is None else repr(delta), "restarts": str(restarts),
              "maxl": str(maxl), "eps": repr(eps)}
     params.extend((name, flags[name]) for name in PIPELINE_PARAMS[algo])
@@ -132,10 +131,10 @@ def run_clustering(
         algorithm=algo,
         seed=seed,
         params=params,
-        k_found=int(np.unique(labels).size),
+        k_found=int(np.unique(part.labels).size),
         time_seconds=elapsed,
         tree=report_mod.tree_records(tree) if tree is not None else None,
-        assignments=[(doc_id, int(c)) for doc_id, c in zip(doc_ids, labels)],
+        assignments=[(doc_id, int(c)) for doc_id, c in zip(doc_ids, part.labels)],
     )
     return rep
 

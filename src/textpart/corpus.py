@@ -20,8 +20,9 @@ unsorted or repeated entries is first made canonical (``_canonical``).
 File formats handled here:
 
 * corpus input: a directory of UTF-8 ``.txt`` files (one document each,
-  doc_id = filename) or a single UTF-8 file with one document per line
-  (doc_id = 1-based line number);
+  doc_id = filename, which must hold no line break) or a single UTF-8
+  file with one document per ``str.splitlines`` line (doc_id = 1-based
+  line number);
 * stop-word list: one term per line;
 * sparse matrix: first line ``n_docs n_terms nnz``, then one
   ``doc_index term_index value`` line per entry (0-based, whitespace-separated),
@@ -69,6 +70,20 @@ def _check_unique(doc_ids: Iterable[str]) -> None:
         seen.add(doc_id)
 
 
+def _check_lines(kind: str, values: Sequence[str]) -> None:
+    """Raise ``ValueError`` at the first value that holds a line break.
+
+    ``write_matrix`` writes one doc id or term per line, and ``read_matrix``
+    splits those files into ``str.splitlines`` lines, so a value holding
+    any of its breaks (``\\r``, a form feed, U+0085, U+2028, ...) would
+    read back as two.
+    """
+    # A break anywhere gives a second line; the "x" keeps a final one.
+    if len(("".join(values) + "x").splitlines()) > 1:
+        bad = next(v for v in values if len((v + "x").splitlines()) > 1)
+        raise ValueError(f"{kind} {bad!r} holds a line break")
+
+
 @dataclass(frozen=True)
 class TermDocMatrix:
     """Sparse n_docs x n_terms matrix with its vocabulary and doc ids.
@@ -77,8 +92,9 @@ class TermDocMatrix:
     ``build_matrix``, L2-normalized tf-idf weights after ``tfidf_weight``.
     There is one doc id per row and one vocabulary term per column, and
     doc ids are unique, since reports and ``textpart eval`` identify
-    documents by id; a count that does not fit the shape, or a repeated
-    id, raises ``ValueError``.
+    documents by id; a count that does not fit the shape, a repeated id,
+    or an id or term that holds a line break (``write_matrix`` writes each
+    on one line) raises ``ValueError``.
     """
 
     matrix: sp.csr_array
@@ -89,7 +105,9 @@ class TermDocMatrix:
         if (len(self.doc_ids), len(self.vocab)) != self.matrix.shape:
             raise ValueError(f"{len(self.doc_ids)} doc ids and {len(self.vocab)} terms do not fit "
                              f"a {self.n_docs} x {self.n_terms} matrix")
+        _check_lines("doc id", self.doc_ids)
         _check_unique(self.doc_ids)
+        _check_lines("term", self.vocab)
 
     @property
     def n_docs(self) -> int:
@@ -157,9 +175,10 @@ def build_matrix(
     lexicographically so term indices are stable across runs. Documents left
     with no terms are dropped; their ids are returned as the second element.
 
-    Raises ``ValueError`` if ``doc_ids`` does not give one id per document
-    or repeats an id, and ``EmptyCorpusError`` if pruning eliminates every
-    document.
+    Raises ``ValueError`` if ``doc_ids`` does not give one id per document,
+    repeats an id or holds a line break (``str.splitlines``), as does a
+    kept term that holds one, and ``EmptyCorpusError`` if pruning
+    eliminates every document.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -176,6 +195,7 @@ def build_matrix(
         doc_ids = [str(i) for i in range(n_docs)]
     if len(doc_ids) != n_docs:
         raise ValueError("doc_ids length does not match docs")
+    _check_lines("doc id", doc_ids)
     _check_unique(doc_ids)
 
     ids = np.frombuffer(tokens, dtype=np.intc)
@@ -295,7 +315,13 @@ def read_corpus_dir(path: str | Path) -> tuple[list[str], list[str]]:
 
 
 def read_corpus_lines(path: str | Path) -> tuple[list[str], list[str]]:
-    """One document per line; doc ids are 1-based line numbers."""
+    """One document per line; doc ids are 1-based line numbers.
+
+    The lines are those of ``str.splitlines``, as in the ``.mat`` grammar:
+    a lone ``\\r``, a form feed, U+0085 or U+2028 ends a line as ``\\n``
+    does, so a 3-line file with U+2028 inside its first line holds 4
+    documents.
+    """
     lines = read_utf8(path).splitlines()
     return lines, [str(i + 1) for i in range(len(lines))]
 

@@ -128,8 +128,14 @@ def member_rows(matrix, members: np.ndarray):
 
 @dataclass
 class ClusterStats:
-    """Summary of one cluster: member row indices, centroid, scatter, and
-    ``sse``, the sum of squared distances of the members to the centroid."""
+    """Summary of one cluster: member row indices, centroid, scatter and sse.
+
+    ``scatter`` is the mean Euclidean distance of the member rows d_i to
+    the centroid w, (1/n) sum_i ||d_i - w||. PDDP's leaf selection, the CSV
+    rule and the report's ``tree`` lines read it. ``sse`` is the sum of
+    squared distances, sum_i ||d_i - w||^2 = ||A - w e^T||_F^2, which the
+    BIC split test reads. Boley's "scatter value" is ``sse`` (see ``pddp``).
+    """
 
     members: np.ndarray
     centroid: np.ndarray

@@ -14,6 +14,9 @@ The centroid scatter value (CSV) treats the current leaf centroids as data
 vectors and takes their scatter, read from ``ClusterStats`` like every leaf
 scatter; a divisive run stops once the CSV exceeds the largest scatter of
 any single leaf, a dynamic threshold that needs no preset cluster count.
+Scatter here is ``ClusterStats.scatter``, the mean Euclidean distance of
+the vectors to their mean, not Boley's squared "scatter value" (``sse``;
+``pddp`` says why).
 """
 
 from __future__ import annotations

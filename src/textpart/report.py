@@ -12,6 +12,10 @@ Layout (order is fixed so a report round-trips byte-identically):
     leaf_members <id> <doc_index>...                          (one per leaf)
     assignment <doc_id> <cluster>   (one per document)
     nmi <value .4f>                 (appended by `textpart eval`)
+
+A ``tree`` line's scatter is ``ClusterStats.scatter`` of its node: the
+mean Euclidean distance of the node's rows to their centroid, in the space
+PDDP split (tf-idf rows, or the stored values under ``--weighting none``).
 """
 
 from __future__ import annotations

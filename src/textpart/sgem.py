@@ -36,6 +36,8 @@ from .partition import Partition
 
 # Keeps scores finite when a cluster collapses onto its centroid.
 SIGMA2_FLOOR = 1e-12
+# The most iterations ``sgem_run`` takes.
+MAX_ITER = 100
 
 
 @dataclass
@@ -166,7 +168,6 @@ def sgem_run(
     init: Partition,
     matrix,
     delta: float | None = None,
-    max_iter: int = 100,
 ) -> tuple[Partition, SGemModel, list[float]]:
     """Alternate M-step / E-step from an initial partition until converged.
 
@@ -174,8 +175,8 @@ def sgem_run(
     reassigns every document; the cluster sums of the new assignment serve
     both its log-likelihood and the next refit. Stops when the assignment
     reaches a fixed point, when the complete-data log-likelihood increases
-    by less than ``delta`` (default ``1e-6 * n_docs``), or after ``max_iter``
-    iterations. ``delta`` must be finite and >= 0.
+    by less than ``delta`` (default ``1e-6 * n_docs``), or after ``MAX_ITER``
+    (100) iterations. ``delta`` must be finite and >= 0.
     Returns the final partition, the last fitted model, and the
     log-likelihood trace (one value per iteration).
     """
@@ -194,7 +195,7 @@ def sgem_run(
     z = init
     trace: list[float] = []
     model: SGemModel | None = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         model = m_step(z, matrix, sums=sums, sq_norms=sq_norms)
         z_new = e_step(model, matrix, sq_norms=sq_norms)
         sums = cluster_sums(matrix, z_new.labels, init.k)[0]

@@ -33,29 +33,12 @@ assignment, are the test suite's reference (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import xlogy
 
 from .corpus import JointDistribution
 from .linalg import cluster_sums
 from .partition import Partition
-
-
-@dataclass
-class IBPartition:
-    """A hard partition with its bottleneck statistics.
-
-    ``pt[j]`` is the cluster prior sum_{x in j} p(x) and ``score`` the
-    retained information I(T; Y). The cluster word conditional p(y|t) is
-    the cluster's row sum of ``joint.joint_rows()`` over ``pt[j]``.
-    """
-
-    k: int
-    assignment: np.ndarray
-    pt: np.ndarray
-    score: float
 
 
 class SibState:
@@ -166,9 +149,6 @@ class SibState:
         h_t = float(xlogy(self.pt, self.pt).sum())
         return h_tj - h_t - self._neg_h_y
 
-    def to_partition(self) -> IBPartition:
-        return IBPartition(self.k, self.assignment.copy(), self.pt.copy(), self.information())
-
 
 def random_assignment(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random assignment with empty clusters repaired from the largest."""
@@ -214,7 +194,7 @@ def sib_run(
     eps: float = 0.0,
     seed: int = 0,
     init: np.ndarray | None = None,
-) -> IBPartition:
+) -> Partition:
     """Cluster the joint's documents into exactly ``k`` clusters.
 
     Runs ``n_restarts`` independent sweeps from random partitions (each
@@ -227,6 +207,11 @@ def sib_run(
     When ``init`` is given (refinement mode) a single sweep is run from
     that assignment, with a generator seeded by ``seed`` itself, instead of
     random restarts.
+
+    Each sweep builds one ``SibState``, and the winner is returned as its
+    labels alone. I(T; Y) of the result is
+    ``SibState(joint, part.labels, part.k).information()`` and p(t) is
+    ``np.bincount(part.labels, weights=joint.px, minlength=part.k)``.
     """
     n = joint.n_docs
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
@@ -249,4 +234,4 @@ def sib_run(
         result = _run_single(joint, k, start, max_loops, eps, rng)
         if best is None or result[1] > best[1]:
             best = result
-    return SibState(joint, best[0], k).to_partition()
+    return Partition(best[0], k)

@@ -19,5 +19,10 @@ def read_utf8(path: str | Path) -> str:
 
 
 def read_labels(path: str | Path) -> list[str]:
-    """One category string per line, aligned with the ``.docs`` file."""
+    """One category string per line, aligned with the ``.docs`` file.
+
+    The lines are those of ``str.splitlines``, as in the ``.mat`` grammar:
+    a lone ``\\r``, a form feed, U+0085 or U+2028 ends a line as ``\\n``
+    does.
+    """
     return [ln.strip() for ln in read_utf8(path).splitlines()]

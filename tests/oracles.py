@@ -23,7 +23,6 @@ from scipy.special import xlogy
 
 from textpart.linalg import cluster_sums
 from textpart.partition import Partition
-from textpart.sib import IBPartition
 
 
 def dense_covariance(rows) -> np.ndarray:
@@ -570,9 +569,10 @@ def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: 
 # The two functions below are the pipeline flow as it was written before
 # ``run_clustering`` and ``sib_run`` became one flow each: one branch per
 # algorithm, and a separate ``init`` path in sIB. Their bodies are copied
-# verbatim; only the names and the imports differ. The package's stages
-# (``pddp_run``, ``sgem_run``, ``SibState``) are checked on their own
-# elsewhere, so reports and partitions can be compared bit for bit.
+# verbatim; only the names and the imports differ, and sIB's winner is
+# returned as a ``Partition`` of its labels, as ``sib_run`` returns it. The
+# package's stages (``pddp_run``, ``sgem_run``, ``SibState``) are checked on
+# their own elsewhere, so reports and partitions can be compared bit for bit.
 
 
 def sib_run_branches(
@@ -583,7 +583,7 @@ def sib_run_branches(
     eps: float = 0.0,
     seed: int = 0,
     init: np.ndarray | None = None,
-) -> IBPartition:
+) -> Partition:
     """Cluster the joint's documents into exactly ``k`` clusters.
 
     Runs ``n_restarts`` independent sweeps from random partitions (each
@@ -596,7 +596,7 @@ def sib_run_branches(
     When ``init`` is given (refinement mode) a single sweep is run from
     that assignment instead of random restarts.
     """
-    from textpart.sib import SibState, _run_single, random_assignment
+    from textpart.sib import _run_single, random_assignment
 
     n = joint.n_docs
     if k < 1 or k > n:
@@ -611,8 +611,7 @@ def sib_run_branches(
     if init is not None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         assignment, _ = _run_single(joint, k, np.asarray(init, dtype=np.int64), max_loops, eps, rng)
-        state = SibState(joint, assignment, k)
-        return state.to_partition()
+        return Partition(assignment, k)
 
     results = []
     for sub_seed in np.random.SeedSequence(seed).spawn(n_restarts):
@@ -624,8 +623,7 @@ def sib_run_branches(
     for i in range(1, n_restarts):
         if results[i][1] > results[best][1]:
             best = i
-    state = SibState(joint, results[best][0], k)
-    return state.to_partition()
+    return Partition(results[best][0], k)
 
 
 def run_clustering_branches(
@@ -696,14 +694,14 @@ def run_clustering_branches(
             tree = pddp_run(matrix, stop=stop, seed=seed)
             k_run = len(tree.leaves())
         ib = sib_run(joint, k_run, n_restarts=restarts, max_loops=maxl, eps=eps, seed=seed)
-        part = Partition(ib.assignment, k_run)
+        part = Partition(ib.labels, k_run)
         params.extend([("k", str(k_run)), ("restarts", str(restarts)),
                        ("maxl", str(maxl)), ("eps", repr(eps))])
     elif algo == "pddp+sib":
         tree = pddp_run(matrix, stop=stop, k=k, seed=seed)
         init = tree.partition()
         ib = sib_run(joint, init.k, max_loops=maxl, eps=eps, seed=seed, init=init.labels)
-        part = Partition(ib.assignment, init.k)
+        part = Partition(ib.labels, init.k)
         if stop == "fixed":
             params.append(("k", str(k)))
         params.extend([("maxl", str(maxl)), ("eps", repr(eps))])
@@ -731,7 +729,7 @@ def run_clustering_branches(
 # the document is drawn out of its cluster in place, ``merge_costs_from``
 # scores the mutated state, and the pre-draw values are restored when the
 # document stays. The class body is copied verbatim; only its name differs,
-# and ``to_partition`` builds ``IBPartition`` with its present fields.
+# and it has no ``to_partition``, as ``SibState`` has none.
 # ``sib_run_sequential`` is ``sib_run`` driving this state.
 
 
@@ -830,10 +828,6 @@ class SibStateSequential:
         h_t = float(xlogy(self.pt, self.pt).sum())
         return h_tj - h_t - self._neg_h_y
 
-    def to_partition(self) -> IBPartition:
-        return IBPartition(self.k, self.assignment.copy(), self.pt.copy(), self.information())
-
-
 
 def sib_run_sequential(
     joint: JointDistribution,
@@ -843,7 +837,7 @@ def sib_run_sequential(
     eps: float = 0.0,
     seed: int = 0,
     init: np.ndarray | None = None,
-) -> IBPartition:
+) -> Partition:
     """``sib_run`` with every step taken by ``SibStateSequential``."""
     from textpart.sib import random_assignment
 
@@ -869,4 +863,4 @@ def sib_run_sequential(
         result = (state.assignment, state.information())
         if best is None or result[1] > best[1]:
             best = result
-    return SibStateSequential(joint, best[0], k).to_partition()
+    return Partition(best[0], k)

@@ -70,7 +70,7 @@ def test_c03_sgem_ascent_and_convergence():
     for seed in range(5):
         for dataset, k in ((two_gaussians(seed)[0], 2), (five_clusters(seed)[0], 5)):
             tree = pddp_run(dataset, stop="fixed", k=k, seed=seed)
-            _, _, trace = sgem_run(tree.partition(), dataset, max_iter=100)
+            _, _, trace = sgem_run(tree.partition(), dataset)
             for a, b in zip(trace, trace[1:]):
                 worst_drop = max(worst_drop, a - b)
                 monotone = monotone and b >= a - 1e-9
@@ -79,7 +79,7 @@ def test_c03_sgem_ascent_and_convergence():
     tdm, _ = multinomial_corpus(0)
     weighted, _ = tfidf_weight(tdm)
     tree = pddp_run(weighted.matrix, stop="fixed", k=8, seed=0)
-    _, _, trace = sgem_run(tree.partition(), weighted.matrix, max_iter=100)
+    _, _, trace = sgem_run(tree.partition(), weighted.matrix)
     for a, b in zip(trace, trace[1:]):
         monotone = monotone and b >= a - 1e-9
     ok = monotone and converged
@@ -116,7 +116,8 @@ def test_c05_sib_small_instance_optimality():
     for i in range(20):
         joint = random_joint(10, 4, seed=1000 + i)
         best = best_bipartition_information(joint)  # all 511 bipartitions
-        got = sib_run(joint, 2, n_restarts=20, seed=i).score
+        part = sib_run(joint, 2, n_restarts=20, seed=i)
+        got = SibState(joint, part.labels, part.k).information()
         hits += abs(got - best) <= 1e-9
     elapsed = time.perf_counter() - t0
     ok = hits >= 18 and elapsed < 10.0
@@ -178,7 +179,7 @@ def test_c09_quality_ordering_on_topic_corpus():
         results["pddp+sgem"].append(nmi(refined, labels))
         joint = word_conditionals(tdm)
         ib = sib_run(joint, 8, n_restarts=6, max_loops=15, seed=seed)
-        results["sib"].append(nmi(ib.assignment, labels))
+        results["sib"].append(nmi(ib, labels))
     elapsed = time.perf_counter() - t0
     med = {name: float(np.median(vals)) for name, vals in results.items()}
     ordering = med["sib"] >= med["pddp+sgem"] >= med["pddp"]

@@ -129,6 +129,27 @@ def _ingested_prefix(tmp_path):
     return str(prefix)
 
 
+def test_ingest_splits_lines_as_cluster_reads_them(tmp_path, capsys):
+    """A file name holding a ``str.splitlines`` break would be a doc id that
+    the ``.docs`` file splits in two, so ``ingest`` names it, exits 1 and
+    writes nothing. A lines file splits at U+2028 as at a newline, so three
+    newline-ended lines with U+2028 inside the first are four documents."""
+    for i, name in enumerate(["e\rf.txt", "e\u2028f.txt"]):
+        d = tmp_path / f"corpus{i}"
+        d.mkdir()
+        for doc_name, text in zip(["a.txt", "b c.txt", "d.txt", name], [DOC_A, DOC_B, DOC_C, DOC_A]):
+            (d / doc_name).write_text(text, encoding="utf-8")
+        assert main(["ingest", str(d), "--output", str(tmp_path / f"out{i}")]) == 1
+        assert capsys.readouterr().err == f"textpart: error: doc id {name!r} holds a line break\n"
+        assert not list(tmp_path.glob(f"out{i}.*"))
+    src = tmp_path / "lines.txt"
+    src.write_text(f"{DOC_A}\u2028{DOC_B}\n{DOC_C}\n{DOC_A}\n", encoding="utf-8")
+    prefix = tmp_path / "lines"
+    assert main(["ingest", str(src), "--output", str(prefix)]) == 0
+    assert (tmp_path / "lines.docs").read_text(encoding="utf-8") == "1\n2\n3\n4\n"
+    assert main(["cluster", str(prefix), "--algo", "pddp", "--stop", "fixed", "--k", "2"]) == 0
+
+
 def test_cluster_pddp_fixed_k_report_structure(tmp_path):
     prefix = _ingested_prefix(tmp_path)
     out = tmp_path / "run.report"

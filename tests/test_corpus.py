@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -105,6 +106,27 @@ def test_build_matrix_rejects_a_repeated_id_of_a_dropped_document():
     # 'z' is pruned, so the first 'x' names a dropped document and the second a kept one
     with pytest.raises(ValueError, match="doc id 'x' repeats an earlier document"):
         build_matrix([["z"], ["a"], ["a"]], min_count=2, doc_ids=["x", "x", "y"])
+
+
+# Every str.splitlines boundary; each would split a .docs or .vocab line in two.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS)
+def test_doc_ids_and_terms_that_hold_a_line_break_are_rejected(brk):
+    bad = f"e{brk}f"
+    with pytest.raises(ValueError, match=f"^doc id {re.escape(repr(bad))} holds a line break$"):
+        build_matrix([["a"], ["a"]], min_count=1, doc_ids=["x", bad])
+    with pytest.raises(ValueError, match=f"^term {re.escape(repr(bad))} holds a line break$"):
+        build_matrix([["a", bad], ["a", bad]], min_count=1)
+    with pytest.raises(ValueError, match="holds a line break"):
+        TermDocMatrix(_six_by_four(), ("a", "b", "c", "d"), ("d0", "d1", "d2", "d3", "d4", bad))
+    # a final break is a break too, and a pruned term is never written
+    with pytest.raises(ValueError, match="holds a line break"):
+        build_matrix([["a"], ["a"]], min_count=1, doc_ids=["x", f"y{brk}"])
+    tdm, _ = build_matrix([["a", bad], ["a"]], min_count=2, doc_ids=["", "y z"])
+    assert tdm.vocab == ("a",) and tdm.doc_ids == ("", "y z")
 
 
 def _six_by_four():

@@ -9,6 +9,7 @@ from scipy.special import xlogy
 
 from datagen import multinomial_corpus, random_joint
 from oracles import (
+    SibStateSequential,
     best_bipartition_information,
     cluster_stats_from_scratch,
     information_of_assignment,
@@ -25,6 +26,16 @@ from textpart.corpus import build_matrix, tokenize, word_conditionals
 from textpart.sib import SibState, random_assignment, sib_run
 
 LOG2 = math.log(2.0)
+
+
+def _information(joint, part):
+    """I(T; Y) of a ``sib_run`` partition, read from a fresh ``SibState``."""
+    return SibState(joint, part.labels, part.k).information()
+
+
+def _priors(joint, part):
+    """The cluster priors p(t) of a ``sib_run`` partition."""
+    return np.bincount(part.labels, weights=joint.px, minlength=part.k)
 
 
 # --- divergences -------------------------------------------------------------
@@ -102,13 +113,13 @@ def test_mutual_information_independent_clusters():
     joint = random_joint(6, 4, seed=0)
     # a single cluster always has p(y|t) = p(y)
     part = sib_run(joint, 1, n_restarts=1, seed=0)
-    assert part.score == pytest.approx(0.0, abs=1e-12)
+    assert _information(joint, part) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_disjoint_clusters():
     joint = _two_doc_joint()
     part = sib_run(joint, 2, n_restarts=1, seed=0)
-    assert part.score == pytest.approx(LOG2)
+    assert _information(joint, part) == pytest.approx(LOG2)
 
 
 def test_mutual_information_bounded_by_ixy():
@@ -116,7 +127,7 @@ def test_mutual_information_bounded_by_ixy():
         joint = random_joint(12, 6, seed=seed)
         for k in (2, 3, 5):
             part = sib_run(joint, k, n_restarts=3, seed=seed)
-            assert part.score <= information_xy(joint) + 1e-9
+            assert _information(joint, part) <= information_xy(joint) + 1e-9
 
 
 # --- the sequential algorithm ---------------------------------------------------
@@ -127,25 +138,25 @@ def test_sib_recovers_duplicate_row_groups():
     cond = sp.csr_array(np.vstack([p, p, p, q, q, q]))
     joint = JointDistribution(np.full(6, 1 / 6), cond)
     part = sib_run(joint, 2, n_restarts=5, seed=0)
-    labels = part.assignment
+    labels = part.labels
     assert len(set(labels[:3].tolist())) == 1
     assert len(set(labels[3:].tolist())) == 1
     assert labels[0] != labels[3]
     # grouping identical conditionals loses no information
-    assert part.score == pytest.approx(information_xy(joint), abs=1e-9)
-    assert part.score == pytest.approx(best_bipartition_information(joint), abs=1e-9)
+    assert _information(joint, part) == pytest.approx(information_xy(joint), abs=1e-9)
+    assert _information(joint, part) == pytest.approx(best_bipartition_information(joint), abs=1e-9)
 
 
 def test_sib_k_equals_n_keeps_all_information():
     joint = random_joint(7, 5, seed=2)
     part = sib_run(joint, 7, n_restarts=1, seed=0)
-    assert part.score == pytest.approx(information_xy(joint), abs=1e-9)
+    assert _information(joint, part) == pytest.approx(information_xy(joint), abs=1e-9)
 
 
 def test_sib_k1_zero_information():
     joint = random_joint(9, 4, seed=3)
     part = sib_run(joint, 1, n_restarts=1, seed=0)
-    assert part.score == pytest.approx(0.0, abs=1e-12)
+    assert _information(joint, part) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sib_k_larger_than_n_rejected():
@@ -158,8 +169,8 @@ def test_sib_deterministic_per_seed():
     joint = random_joint(30, 8, seed=7)
     a = sib_run(joint, 4, n_restarts=3, seed=11)
     b = sib_run(joint, 4, n_restarts=3, seed=11)
-    assert np.array_equal(a.assignment, b.assignment)
-    assert a.score == b.score
+    assert np.array_equal(a.labels, b.labels)
+    assert _information(joint, a) == _information(joint, b)
 
 
 def test_sib_step_monotonicity_and_exact_k():
@@ -257,7 +268,7 @@ def test_sib_small_instance_optimality_sample():
     for i in range(5):
         joint = random_joint(8, 4, seed=500 + i)
         best = best_bipartition_information(joint)
-        got = sib_run(joint, 2, n_restarts=10, seed=i).score
+        got = _information(joint, sib_run(joint, 2, n_restarts=10, seed=i))
         hits += abs(got - best) <= 1e-9
     assert hits >= 4
 
@@ -265,17 +276,18 @@ def test_sib_small_instance_optimality_sample():
 def test_sib_partition_statistics_invariants():
     joint = random_joint(24, 9, seed=13)
     part = sib_run(joint, 4, n_restarts=3, seed=1)
-    assert np.all(part.pt > 0)
-    assert abs(part.pt.sum() - 1.0) <= 1e-12
-    pt, _ = cluster_stats_from_scratch(joint, part.assignment, 4)
-    assert np.abs(part.pt - pt).max() <= 1e-12
+    priors = _priors(joint, part)
+    assert np.all(priors > 0)
+    assert abs(priors.sum() - 1.0) <= 1e-12
+    pt, _ = cluster_stats_from_scratch(joint, part.labels, 4)
+    assert np.abs(priors - pt).max() <= 1e-12
 
 
 def test_sib_score_matches_definitional_information():
     joint = random_joint(18, 5, seed=12)
     part = sib_run(joint, 3, n_restarts=2, seed=0)
-    oracle = information_of_assignment(joint, part.assignment, 3)
-    assert part.score == pytest.approx(oracle, abs=1e-9)
+    oracle = information_of_assignment(joint, part.labels, 3)
+    assert _information(joint, part) == pytest.approx(oracle, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,12 +296,12 @@ def test_sib_run_returns_exactly_k_nonempty_clusters(n, m, data, seed):
     joint = random_joint(n, m, seed=seed)
     k = data.draw(st.integers(1, n))
     part = sib_run(joint, k, n_restarts=2, max_loops=3, seed=seed)
-    assert part.assignment.shape == (n,)
-    assert np.array_equal(np.bincount(part.assignment, minlength=k) > 0, np.ones(k, dtype=bool))
+    assert part.labels.shape == (n,)
+    assert np.array_equal(np.bincount(part.labels, minlength=k) > 0, np.ones(k, dtype=bool))
     init = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     if len(set(init)) == k:  # refinement mode starts from a partition with no empty cluster
         refined = sib_run(joint, k, max_loops=3, seed=seed, init=np.array(init))
-        assert np.all(np.bincount(refined.assignment, minlength=k) > 0)
+        assert np.all(np.bincount(refined.labels, minlength=k) > 0)
 
 
 # --- the paper's pipeline: PDDP leaves reallocated by one sIB sweep ----------
@@ -311,6 +323,22 @@ def test_pddp_sib_beats_pddp_on_the_c9_corpora(seed):
     assert information_of_assignment(joint, runs["pddp+sib"], 8) >= start - 1e-12
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("background", [0.6, 0.75])
+def test_refinements_beat_pddp_on_overlapping_topics(background, seed):
+    """Where topics overlap, PDDP alone loses much of the structure and both
+    refinements win most of it back (the paper's claim). At these overlaps
+    nothing saturates at NMI 1: measured, pddp read 0.489-0.672, each
+    refinement 0.837-0.995, and the smallest gain was 0.238."""
+    tdm, labels = multinomial_corpus(seed, background=background)
+    scores = {}
+    for algo in ("pddp", "pddp+sgem", "pddp+sib"):
+        rep = run_clustering(tdm, algo, "fixed", k=8, restarts=6, maxl=15, seed=0)
+        scores[algo] = nmi(np.array([c for _, c in rep.assignments]), labels)
+    assert scores["pddp+sgem"] >= scores["pddp"] + 0.2, scores
+    assert scores["pddp+sib"] >= scores["pddp"] + 0.2, scores
+
+
 # --- one loop over starts, checked against the separate init path -----------
 
 def _bits(value) -> bytes:
@@ -329,9 +357,30 @@ def test_sib_run_matches_branching_oracle_bitwise(joint_seed, restarts, max_loop
     want = sib_run_branches(joint, k, **kwargs)
     got = sib_run(joint, k, **kwargs)
     assert got.k == want.k
-    assert got.assignment.dtype == want.assignment.dtype
-    for field in ("assignment", "pt", "score"):
-        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+    assert got.labels.dtype == want.labels.dtype
+    assert _bits(got.labels) == _bits(want.labels)
+    assert _bits(_priors(joint, got)) == _bits(_priors(joint, want))
+    assert _information(joint, got) == _information(joint, want)
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_sib_run_builds_one_state_per_sweep(monkeypatch, restarts):
+    """The winning sweep's labels are returned as they are: R restarts build
+    R states, and a refinement sweep from ``init`` builds one."""
+    joint = random_joint(30, 8, seed=7)
+    built = []
+    init_state = SibState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init_state(self, *args, **kwargs)
+
+    monkeypatch.setattr(SibState, "__init__", counted)
+    sib_run(joint, 4, n_restarts=restarts, seed=3)
+    assert len(built) == restarts
+    built.clear()
+    sib_run(joint, 4, n_restarts=restarts, seed=3, init=np.arange(30) % 4)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("k", [None, 0, 5, 2.0, "2"])
@@ -356,8 +405,8 @@ def test_sib_run_ties_go_to_the_first_restart(seed):
     joint = JointDistribution(np.full(8, 1 / 8), sp.csr_array(np.eye(4)[np.arange(8) // 2]))
     want = sib_run_branches(joint, 4, n_restarts=4, seed=seed)
     got = sib_run(joint, 4, n_restarts=4, seed=seed)
-    assert _bits(got.assignment) == _bits(want.assignment)
-    assert got.score == want.score
+    assert _bits(got.labels) == _bits(want.labels)
+    assert _information(joint, got) == _information(joint, want)
 
 
 # --- the step against the in-place step it replaced -----------------------------
@@ -381,9 +430,10 @@ _ORACLE_CORPORA = {
 }
 
 
-def _assert_same_partition(got, want):
-    assert _bits(got.assignment) == _bits(want.assignment)
-    assert got.score == want.score
+def _assert_same_partition(joint, got, want):
+    """Equal labels, and equal I(T; Y) from each side's own state class."""
+    assert _bits(got.labels) == _bits(want.labels)
+    assert _information(joint, got) == SibStateSequential(joint, want.labels, want.k).information()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -391,10 +441,12 @@ def _assert_same_partition(got, want):
 def test_sib_run_matches_in_place_step_oracle_bitwise(corpus, seed):
     joint, k = _ORACLE_CORPORA[corpus](seed)
     kwargs = dict(n_restarts=2, max_loops=3, seed=seed)
-    _assert_same_partition(sib_run(joint, k, **kwargs), sib_run_sequential(joint, k, **kwargs))
+    _assert_same_partition(joint, sib_run(joint, k, **kwargs),
+                           sib_run_sequential(joint, k, **kwargs))
     init = np.arange(joint.n_docs) % k
     kwargs = dict(max_loops=3, seed=seed, init=init)
-    _assert_same_partition(sib_run(joint, k, **kwargs), sib_run_sequential(joint, k, **kwargs))
+    _assert_same_partition(joint, sib_run(joint, k, **kwargs),
+                           sib_run_sequential(joint, k, **kwargs))
 
 
 @settings(max_examples=80, deadline=None)
@@ -404,8 +456,10 @@ def test_sib_run_matches_in_place_step_oracle_on_small_joints(n, m, alpha, data,
     joint = random_joint(n, m, seed=seed, alpha=alpha)
     k = data.draw(st.one_of(st.just(n), st.integers(1, n)))
     kwargs = dict(n_restarts=2, max_loops=4, seed=seed)
-    _assert_same_partition(sib_run(joint, k, **kwargs), sib_run_sequential(joint, k, **kwargs))
+    _assert_same_partition(joint, sib_run(joint, k, **kwargs),
+                           sib_run_sequential(joint, k, **kwargs))
     # singleton clusters: every cluster but the last holds one document
     init = np.minimum(np.arange(n), k - 1)
     kwargs = dict(max_loops=4, seed=seed, init=init)
-    _assert_same_partition(sib_run(joint, k, **kwargs), sib_run_sequential(joint, k, **kwargs))
+    _assert_same_partition(joint, sib_run(joint, k, **kwargs),
+                           sib_run_sequential(joint, k, **kwargs))
