@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import report as report_mod
 from .corpus import (
@@ -54,7 +53,7 @@ _INT_FLAG_LEAST = {"min_count": 1, "restarts": 1, "maxl": 1, "seed": 0}
 def _subset_docs(m: TermDocMatrix, keep_ids: set[str]) -> TermDocMatrix:
     mask = np.array([d in keep_ids for d in m.doc_ids])
     kept = tuple(d for d in m.doc_ids if d in keep_ids)
-    return TermDocMatrix(sp.csr_array(m.matrix[mask]), m.vocab, kept)
+    return TermDocMatrix(m.matrix[mask], m.vocab, kept)
 
 
 def run_clustering(
@@ -86,18 +85,20 @@ def run_clustering(
     The reported wall-clock time covers the clustering phase only (not
     matrix loading or weighting transforms).
     """
+    if weighting not in ("tfidf", "none"):
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if algo not in PIPELINE_PARAMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if stop not in STOP_RULES:
+        raise ValueError(f"unknown stopping rule {stop!r}")
     if weighting == "tfidf":
         weighted, dropped = tfidf_weight(tdm)
         for d in dropped:
             print(f"dropped document with no informative terms: {d}", file=sys.stderr)
-    elif weighting == "none":
-        weighted, dropped = tdm, []
     else:
-        raise ValueError(f"unknown weighting {weighting!r}")
+        weighted, dropped = tdm, []
     if weighted.n_docs < 2:
         raise ValueError("fewer than 2 documents remain after weighting")
-    if algo not in PIPELINE_PARAMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
 
     joint = None
     if algo in ("sib", "pddp+sib"):

@@ -287,13 +287,22 @@ def tfidf_weight(m: TermDocMatrix) -> tuple[TermDocMatrix, list[str]]:
 def word_conditionals(m: TermDocMatrix) -> JointDistribution:
     """Normalize raw counts into p(y|x) rows with uniform p(x) = 1/n.
 
-    ``p(y|x)`` is the count of word y in document x divided by the
-    document's total count. Raises if any document has zero total count.
+    ``p(y|x)`` is the count of word y in document x times the reciprocal of
+    the document's total count. A document whose counts sum to 0 or less,
+    or to a total or a reciprocal that overflows float64 (a sum below about
+    5.6e-309), raises ``ValueError`` naming the first such document.
     """
-    totals = np.asarray(m.matrix.sum(axis=1)).ravel()
-    if np.any(totals <= 0):
-        raise ValueError("empty document")
-    return JointDistribution(np.full(m.n_docs, 1.0 / m.n_docs), _scaled(m.matrix, 1.0 / totals, axis=0))
+    with np.errstate(over="ignore", divide="ignore"):
+        totals = np.asarray(m.matrix.sum(axis=1)).ravel()
+        scale = 1.0 / totals
+    bad = ~((0 < scale) & (scale < np.inf))
+    if bad.any():
+        row = bad.argmax()
+        if totals[row] <= 0:
+            raise ValueError(f"empty document {m.doc_ids[row]!r}: its counts sum to {totals[row]:g}")
+        raise ValueError(f"document {m.doc_ids[row]!r}: its counts sum to {totals[row]:g}, "
+                         "too small or too large to normalise in float64")
+    return JointDistribution(np.full(m.n_docs, 1.0 / m.n_docs), _scaled(m.matrix, scale, axis=0))
 
 
 # ---------------------------------------------------------------------------

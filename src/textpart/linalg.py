@@ -135,6 +135,9 @@ class ClusterStats:
     rule and the report's ``tree`` lines read it. ``sse`` is the sum of
     squared distances, sum_i ||d_i - w||^2 = ||A - w e^T||_F^2, which the
     BIC split test reads. Boley's "scatter value" is ``sse`` (see ``pddp``).
+    A PDDP split (``split_cluster``, then ``principal_direction``) reads
+    the members, the centroid and ``sse`` of the cluster it bisects, so the
+    three always describe one row set.
     """
 
     members: np.ndarray
@@ -178,8 +181,8 @@ def _constant_columns(rows, rows_t) -> np.ndarray:
     return constant
 
 
-def principal_direction(rows, seed=0, *, center: np.ndarray | None = None,
-                        sq_norms: np.ndarray | None = None, sse: float | None = None) -> np.ndarray:
+def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None,
+                        sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Unit leading eigenvector of the covariance of a row set.
 
     Restarted Lanczos: the covariance ``C`` is applied matrix-free as
@@ -199,11 +202,10 @@ def principal_direction(rows, seed=0, *, center: np.ndarray | None = None,
     is drawn uniformly from it and re-drawn while it lies (numerically) in
     the null space of ``C``.
 
-    A caller that already holds the row set's statistics passes them:
-    ``center`` (``centroid(rows)``), ``sq_norms`` (``row_sq_norms(rows)``)
-    and ``sse`` (the sum of squared distances to ``center``, the covariance
-    trace times n, which is ``ClusterStats.sse``). Each is computed when
-    omitted.
+    ``stats`` is the row set's ``ClusterStats``: ``w`` is its centroid and
+    its ``sse`` is the covariance trace times n. ``sq_norms`` is
+    ``row_sq_norms(rows)``. A caller that holds them passes them; each is
+    computed when omitted.
 
     Raises ``DegenerateClusterError`` when all rows coincide (zero
     covariance), which callers treat as "this cluster cannot be split", and
@@ -213,14 +215,14 @@ def principal_direction(rows, seed=0, *, center: np.ndarray | None = None,
     n, dim = rows.shape
     if n < 2:
         raise ValueError("principal direction needs at least 2 rows")
-    w = centroid(rows) if center is None else center
     norms = row_sq_norms(rows) if sq_norms is None else sq_norms
-    scale = float(norms.max())
-    total = float(sq_distances(rows, w, sq_norms=norms)[:, 0].sum()) if sse is None else sse
-    if total <= _DEGENERATE_REL_TOL * n * max(scale, 1e-300):
+    if stats is None:
+        stats = ClusterStats.from_rows(rows, np.arange(n), sq_norms=norms)
+    w, total = stats.centroid, stats.sse
+    if total <= _DEGENERATE_REL_TOL * n * max(float(norms.max()), 1e-300):
         raise DegenerateClusterError("degenerate cluster: all rows identical")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     trace = total / n  # = tr(C), an upper bound scale for eigenvalues
     rows_t = rows.T.tocsr() if sp.issparse(rows) else rows.T
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model_select
-from .linalg import (ClusterStats, DegenerateClusterError, centroid, member_rows, principal_direction,
-                     row_sq_norms)
+from .linalg import ClusterStats, DegenerateClusterError, member_rows, principal_direction, row_sq_norms
 from .partition import Partition
 
 STOP_RULES = ("fixed", "csv", "bic")
@@ -75,28 +74,24 @@ class ClusterTree:
         return Partition(labels, len(leaves))
 
 
-def split_cluster(members, matrix, seed=0, *, center: np.ndarray | None = None,
-                  sq_norms: np.ndarray | None = None,
-                  sse: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_cluster(stats: ClusterStats, matrix, seed=0, *,
+                  sq_norms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bisect a cluster with the hyperplane normal to its principal direction.
 
-    Document i goes left when u . (d_i - w) <= 0 (w = cluster centroid),
-    right otherwise. Raises ``DegenerateClusterError`` when all rows
-    coincide; a split with an empty side is impossible while the variance
-    along u is positive and is reported as an internal error.
-
-    A caller that holds the cluster's ``ClusterStats`` passes its
-    ``center`` (the centroid) and ``sse``, and ``sq_norms``
-    (``row_sq_norms(matrix)``); each is computed when omitted.
+    ``stats`` is the cluster's ``ClusterStats`` over the rows of ``matrix``:
+    its members, its centroid w and its ``sse``. Document i goes left when
+    u . (d_i - w) <= 0, right otherwise. ``sq_norms``, if given, must be
+    ``row_sq_norms(matrix)``. Raises ``DegenerateClusterError`` when all
+    rows coincide; a split with an empty side is impossible while the
+    variance along u is positive and is reported as an internal error.
     """
-    members = np.asarray(members, dtype=np.intp)
+    members = stats.members
     if members.size < 2:
         raise ValueError("cannot split a cluster with fewer than 2 members")
     rows = member_rows(matrix, members)
-    w = centroid(rows) if center is None else center
     rn = None if sq_norms is None else sq_norms[members]
-    u = principal_direction(rows, seed, center=w, sq_norms=rn, sse=sse)
-    proj = np.asarray(rows @ u).ravel() - float(w @ u)
+    u = principal_direction(rows, seed, stats=stats, sq_norms=rn)
+    proj = np.asarray(rows @ u).ravel() - float(stats.centroid @ u)
     left = members[proj <= 0]
     right = members[proj > 0]
     if left.size == 0 or right.size == 0:
@@ -142,8 +137,8 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     rng = np.random.default_rng(seed)
 
-    # A split takes its node's centroid and sse from the node's ClusterStats
-    # and its rows' norms from this array, and re-slices the rows.
+    # A split reads its node's ClusterStats and its rows' norms from this
+    # array, and re-slices the rows.
     with np.errstate(over="ignore"):
         sq_norms = row_sq_norms(matrix)
     beyond = ~(sq_norms <= _MAX_SQ_NORM)
@@ -170,8 +165,7 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
                 tree.warning = True  # rule never fired
             break
         try:
-            left, right, _ = split_cluster(node.stats.members, matrix, rng, center=node.stats.centroid,
-                                           sq_norms=sq_norms, sse=node.stats.sse)
+            left, right, _ = split_cluster(node.stats, matrix, rng, sq_norms=sq_norms)
         except DegenerateClusterError:
             node.final = True
             continue

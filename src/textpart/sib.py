@@ -59,12 +59,10 @@ class SibState:
             raise ValueError("assignment length does not match joint")
         if np.any(np.bincount(assignment, minlength=k) == 0):
             raise ValueError("initial partition has an empty cluster")
-        self.k = k
         self.assignment = assignment.copy()
         self.px = joint.px.copy()
 
-        rows = joint.joint_rows()
-        rows.sort_indices()
+        rows = joint.joint_rows()  # canonical, so each row's columns are sorted
         self._indptr = rows.indptr
         self._indices = rows.indices
         self._data = rows.data

@@ -474,6 +474,21 @@ def test_sib_without_weighting_never_squares_a_row(tmp_path):
     assert read_report(out).k_found == 3
 
 
+@pytest.mark.parametrize("algo", ["sib", "pddp+sib"])
+def test_cluster_names_an_empty_document_without_weighting(tmp_path, capsys, algo):
+    """d2 stores only a zero, so its counts sum to 0 and it has no word
+    conditionals; the error names it by id."""
+    (tmp_path / "e.mat").write_text("3 2 3\n0 0 1.0\n1 1 2.0\n2 1 0.0\n", encoding="utf-8")
+    (tmp_path / "e.vocab").write_text("a\nb\n", encoding="utf-8")
+    (tmp_path / "e.docs").write_text("d0\nd1\nd2\n", encoding="utf-8")
+    prefix, out = tmp_path / "e", tmp_path / "e.report"
+    assert main(["cluster", str(prefix), "--algo", algo, "--stop", "fixed", "--k", "2",
+                 "--weighting", "none", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "textpart: error: empty document 'd2': its counts sum to 0\n"
+    assert not out.exists()
+
+
 def test_cluster_malformed_matrix_line_exits_1(tmp_path, capsys):
     prefix = tmp_path / "bad"
     (tmp_path / "bad.mat").write_text("3 2 3\n0 0 1.0\n1 1\n2 0 2.0\n", encoding="utf-8")
@@ -652,6 +667,26 @@ def test_run_clustering_sib_fixed_without_k_is_a_value_error():
 def test_run_clustering_pddp_sib_rejects_zero_restarts():
     with pytest.raises(ValueError, match="n_restarts"):
         run_clustering(_pipeline_corpus(0), "pddp+sib", "fixed", k=3, restarts=0)
+
+
+@pytest.mark.parametrize("algo, stop, message", [("nope", "fixed", "unknown algorithm 'nope'"),
+                                                 ("sib", "nope", "unknown stopping rule 'nope'")])
+def test_run_clustering_rejects_a_bad_algo_or_stop_before_weighting(monkeypatch, capsys, algo, stop,
+                                                                    message):
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "tfidf_weight", counted(cli.tfidf_weight))
+    monkeypatch.setattr(cli, "word_conditionals", counted(cli.word_conditionals))
+    with pytest.raises(ValueError, match=message):
+        run_clustering(_pipeline_corpus(0), algo, stop, k=2)
+    assert calls == []
+    assert capsys.readouterr().err == ""
 
 
 

@@ -430,6 +430,20 @@ def test_word_conditionals_rejects_empty_row():
         word_conditionals(tdm)
 
 
+@pytest.mark.parametrize("row, total", [([1.7e308, 1.7e308], "inf"), ([5e-324, 0.0], "4.94066e-324")])
+def test_word_conditionals_names_a_count_sum_beyond_float64(row, total):
+    """No RuntimeWarning on the way (tier-1 makes it an error)."""
+    import scipy.sparse as sp
+
+    from textpart.corpus import TermDocMatrix
+
+    tdm = TermDocMatrix(sp.csr_array(np.array([[1.0, 2.0], row])), ("a", "b"), ("d0", "d1"))
+    with pytest.raises(ValueError) as err:
+        word_conditionals(tdm)
+    assert str(err.value) == (f"document 'd1': its counts sum to {total}, "
+                              "too small or too large to normalise in float64")
+
+
 def test_joint_invariants_on_random_corpus():
     rng = np.random.default_rng(3)
     docs = [

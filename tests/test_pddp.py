@@ -14,7 +14,7 @@ from textpart.pddp import TreeNode, pddp_run, select_leaf, split_cluster
 
 def test_split_cluster_one_dimensional_projection_signs():
     X = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
-    left, right, u = split_cluster(np.arange(6), X, seed=0)
+    left, right, u = split_cluster(ClusterStats.from_rows(X, np.arange(6)), X, seed=0)
     assert sorted(left.tolist()) == [0, 1, 2]
     assert sorted(right.tolist()) == [3, 4, 5]
     assert u == pytest.approx([1.0])
@@ -22,13 +22,13 @@ def test_split_cluster_one_dimensional_projection_signs():
 
 def test_split_cluster_two_points():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    left, right, _ = split_cluster(np.array([0, 1]), X, seed=0)
+    left, right, _ = split_cluster(ClusterStats.from_rows(X, np.array([0, 1])), X, seed=0)
     assert left.size == 1 and right.size == 1
 
 
 def test_split_cluster_separates_two_gaussians():
     X, labels = two_gaussians(0)
-    left, right, _ = split_cluster(np.arange(len(X)), X, seed=0)
+    left, right, _ = split_cluster(ClusterStats.from_rows(X, np.arange(len(X))), X, seed=0)
     pred = np.zeros(len(X), dtype=int)
     pred[right] = 1
     assert nmi(pred, labels) >= 0.95
@@ -37,12 +37,12 @@ def test_split_cluster_separates_two_gaussians():
 def test_split_cluster_degenerate():
     X = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(DegenerateClusterError):
-        split_cluster(np.arange(3), X, seed=0)
+        split_cluster(ClusterStats.from_rows(X, np.arange(3)), X, seed=0)
 
 
 def test_split_cluster_needs_two_members():
     with pytest.raises(ValueError):
-        split_cluster(np.array([0]), np.array([[1.0]]), seed=0)
+        split_cluster(ClusterStats.from_rows(np.array([[1.0]]), np.array([0])), np.array([[1.0]]), seed=0)
 
 
 def _leaf(node_id, members, scatter):
