@@ -155,8 +155,9 @@ def tokenize(raw_text: str, stop_words: frozenset[str] | set[str] = frozenset())
     """Lowercase a text and split it into alphabetic tokens.
 
     Tokens are maximal runs of Unicode letters; digits, underscores and
-    punctuation separate tokens. Stop words are removed after lowercasing.
-    Deterministic; empty input yields an empty list.
+    punctuation separate tokens. Stop words are removed after lowercasing,
+    so ``stop_words`` must be lowercase (``read_stop_words`` lowercases
+    them). Deterministic; empty input yields an empty list.
     """
     return [t for t in _TOKEN_RE.findall(raw_text.lower()) if t not in stop_words]
 
@@ -310,9 +311,10 @@ def word_conditionals(m: TermDocMatrix) -> JointDistribution:
 
 
 def read_stop_words(path: str | Path) -> frozenset[str]:
-    """One term per line; blank lines ignored."""
+    """One term per line, lowercased as ``tokenize`` lowercases text; blank
+    lines ignored."""
     lines = read_utf8(path).splitlines()
-    return frozenset(t.strip() for t in lines if t.strip())
+    return frozenset(t.strip().lower() for t in lines if t.strip())
 
 
 def read_corpus_dir(path: str | Path) -> tuple[list[str], list[str]]:

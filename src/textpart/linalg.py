@@ -8,9 +8,9 @@ principal direction is extracted by a matrix-free restarted Lanczos
 stay sparse.
 
 Cluster statistics have one source each: ``ClusterStats.from_rows`` gives
-one row set's members, centroid, scatter and residual, and
-``cluster_sums`` gives the row sums and sizes of every cluster of a
-partition at once.
+one row set's members, centroid, scatter, residual and largest squared row
+norm, and ``cluster_sums`` gives the row sums and sizes of every cluster of
+a partition at once.
 """
 
 from __future__ import annotations
@@ -128,22 +128,26 @@ def member_rows(matrix, members: np.ndarray):
 
 @dataclass
 class ClusterStats:
-    """Summary of one cluster: member row indices, centroid, scatter and sse.
+    """Summary of one cluster: member row indices, centroid, scatter, sse
+    and the largest squared row norm.
 
     ``scatter`` is the mean Euclidean distance of the member rows d_i to
     the centroid w, (1/n) sum_i ||d_i - w||. PDDP's leaf selection, the CSV
     rule and the report's ``tree`` lines read it. ``sse`` is the sum of
     squared distances, sum_i ||d_i - w||^2 = ||A - w e^T||_F^2, which the
     BIC split test reads. Boley's "scatter value" is ``sse`` (see ``pddp``).
-    A PDDP split (``split_cluster``, then ``principal_direction``) reads
-    the members, the centroid and ``sse`` of the cluster it bisects, so the
-    three always describe one row set.
+    ``max_sq_norm`` is max_i ||d_i||^2, the scale of the eigen-solve's
+    check that the rows do not all coincide. A PDDP split
+    (``split_cluster``, then ``principal_direction``) reads every input it
+    needs from the stats of the cluster it bisects, so they always describe
+    one row set.
     """
 
     members: np.ndarray
     centroid: np.ndarray
     scatter: float
     sse: float
+    max_sq_norm: float
 
     @classmethod
     def from_rows(cls, matrix, members, *, sq_norms: np.ndarray | None = None) -> "ClusterStats":
@@ -152,9 +156,9 @@ class ClusterStats:
         members = np.asarray(members, dtype=np.intp)
         rows = member_rows(matrix, members)
         c = centroid(rows)
-        rn = None if sq_norms is None else sq_norms[members]
+        rn = row_sq_norms(rows) if sq_norms is None else sq_norms[members]
         d2 = sq_distances(rows, c, sq_norms=rn)[:, 0]
-        return cls(members, c, float(np.sqrt(d2).mean()), float(d2.sum()))
+        return cls(members, c, float(np.sqrt(d2).mean()), float(d2.sum()), float(rn.max()))
 
     @property
     def size(self) -> int:
@@ -181,8 +185,7 @@ def _constant_columns(rows, rows_t) -> np.ndarray:
     return constant
 
 
-def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None,
-                        sq_norms: np.ndarray | None = None) -> np.ndarray:
+def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None) -> np.ndarray:
     """Unit leading eigenvector of the covariance of a row set.
 
     Restarted Lanczos: the covariance ``C`` is applied matrix-free as
@@ -202,10 +205,10 @@ def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None,
     is drawn uniformly from it and re-drawn while it lies (numerically) in
     the null space of ``C``.
 
-    ``stats`` is the row set's ``ClusterStats``: ``w`` is its centroid and
-    its ``sse`` is the covariance trace times n. ``sq_norms`` is
-    ``row_sq_norms(rows)``. A caller that holds them passes them; each is
-    computed when omitted.
+    ``stats`` is the row set's ``ClusterStats``: ``w`` is its centroid, its
+    ``sse`` is the covariance trace times n and its ``max_sq_norm`` scales
+    the check that the rows do not all coincide. A caller that holds the
+    stats passes them; they are computed when omitted.
 
     Raises ``DegenerateClusterError`` when all rows coincide (zero
     covariance), which callers treat as "this cluster cannot be split", and
@@ -215,11 +218,10 @@ def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None,
     n, dim = rows.shape
     if n < 2:
         raise ValueError("principal direction needs at least 2 rows")
-    norms = row_sq_norms(rows) if sq_norms is None else sq_norms
     if stats is None:
-        stats = ClusterStats.from_rows(rows, np.arange(n), sq_norms=norms)
+        stats = ClusterStats.from_rows(rows, np.arange(n))
     w, total = stats.centroid, stats.sse
-    if total <= _DEGENERATE_REL_TOL * n * max(float(norms.max()), 1e-300):
+    if total <= _DEGENERATE_REL_TOL * n * max(stats.max_sq_norm, 1e-300):
         raise DegenerateClusterError("degenerate cluster: all rows identical")
 
     rng = np.random.default_rng(seed)

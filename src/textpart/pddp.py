@@ -74,23 +74,19 @@ class ClusterTree:
         return Partition(labels, len(leaves))
 
 
-def split_cluster(stats: ClusterStats, matrix, seed=0, *,
-                  sq_norms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_cluster(stats: ClusterStats, matrix, seed=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bisect a cluster with the hyperplane normal to its principal direction.
 
-    ``stats`` is the cluster's ``ClusterStats`` over the rows of ``matrix``:
-    its members, its centroid w and its ``sse``. Document i goes left when
-    u . (d_i - w) <= 0, right otherwise. ``sq_norms``, if given, must be
-    ``row_sq_norms(matrix)``. Raises ``DegenerateClusterError`` when all
-    rows coincide; a split with an empty side is impossible while the
-    variance along u is positive and is reported as an internal error.
+    ``stats`` is the cluster's ``ClusterStats`` over the rows of ``matrix``;
+    the split reads nothing else about the cluster. Document i goes left
+    when u . (d_i - w) <= 0, with w the centroid, right otherwise. Raises
+    ``ValueError`` for fewer than 2 members and ``DegenerateClusterError``
+    when all rows coincide; a split with an empty side is impossible while
+    the variance along u is positive and is reported as an internal error.
     """
     members = stats.members
-    if members.size < 2:
-        raise ValueError("cannot split a cluster with fewer than 2 members")
     rows = member_rows(matrix, members)
-    rn = None if sq_norms is None else sq_norms[members]
-    u = principal_direction(rows, seed, stats=stats, sq_norms=rn)
+    u = principal_direction(rows, seed, stats=stats)
     proj = np.asarray(rows @ u).ravel() - float(stats.centroid @ u)
     left = members[proj <= 0]
     right = members[proj > 0]
@@ -137,8 +133,8 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     rng = np.random.default_rng(seed)
 
-    # A split reads its node's ClusterStats and its rows' norms from this
-    # array, and re-slices the rows.
+    # Past the bound check only ClusterStats.from_rows reads these norms; a
+    # split reads its node's stats and re-slices the rows.
     with np.errstate(over="ignore"):
         sq_norms = row_sq_norms(matrix)
     beyond = ~(sq_norms <= _MAX_SQ_NORM)
@@ -165,7 +161,7 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
                 tree.warning = True  # rule never fired
             break
         try:
-            left, right, _ = split_cluster(node.stats, matrix, rng, sq_norms=sq_norms)
+            left, right, _ = split_cluster(node.stats, matrix, rng)
         except DegenerateClusterError:
             node.final = True
             continue

@@ -20,7 +20,9 @@ PDDP split (tf-idf rows, or the stored values under ``--weighting none``).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 from .textio import read_utf8
@@ -70,24 +72,31 @@ def tree_records(tree) -> list[TreeRecord]:
     return records
 
 
-def format_report(report: RunReport) -> str:
-    report.validate()
-    lines = [FORMAT_HEADER, f"algorithm {report.algorithm}", f"seed {report.seed}"]
-    lines.extend(f"param {name} {value}" for name, value in report.params)
-    lines.append(f"k_found {report.k_found}")
-    lines.append(f"time_seconds {report.time_seconds!r}")
+def _report_lines(report: RunReport) -> Iterator[str]:
+    """The lines of ``report`` in the fixed layout, without line ends."""
+    yield FORMAT_HEADER
+    yield f"algorithm {report.algorithm}"
+    yield f"seed {report.seed}"
+    for name, value in report.params:
+        yield f"param {name} {value}"
+    yield f"k_found {report.k_found}"
+    yield f"time_seconds {report.time_seconds!r}"
     if report.tree is not None:
         for rec in report.tree:
             parent = "-" if rec.parent is None else str(rec.parent)
-            lines.append(f"tree {rec.node_id} {parent} {rec.depth} {rec.n_members} {rec.scatter!r}")
+            yield f"tree {rec.node_id} {parent} {rec.depth} {rec.n_members} {rec.scatter!r}"
         for rec in report.tree:
             if rec.leaf_members is not None:
-                lines.append("leaf_members " + " ".join(str(i) for i in [rec.node_id] + rec.leaf_members))
+                yield "leaf_members " + " ".join(str(i) for i in [rec.node_id] + rec.leaf_members)
     for doc_id, cluster in report.assignments:
-        lines.append(f"assignment {doc_id} {cluster}")
+        yield f"assignment {doc_id} {cluster}"
     if report.nmi is not None:
-        lines.append(f"nmi {report.nmi:.4f}")
-    return "\n".join(lines) + "\n"
+        yield f"nmi {report.nmi:.4f}"
+
+
+def format_report(report: RunReport) -> str:
+    report.validate()
+    return "\n".join(_report_lines(report)) + "\n"
 
 
 def write_report(report: RunReport, path: str | Path) -> None:
@@ -95,13 +104,21 @@ def write_report(report: RunReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> RunReport:
+    """Parse a report; ``ValueError`` names the file and the line at fault.
+
+    Besides an unknown field or a malformed value, the file is rejected
+    unless ``format_report`` of what it parses to gives back its lines
+    (compared one at a time, so no second copy of the report is held), so
+    a report missing a line, repeating one or holding a line no field keeps
+    (such as ``leaf_members`` of a node with no ``tree`` line) cannot be
+    read and written back changed.
+    """
     lines = read_utf8(path).splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise ValueError(f"{path}: not a textpart report")
     report = RunReport(algorithm="", seed=0)
     tree: list[TreeRecord] = []
     leaf_members: dict[int, list[int]] = {}
-    saw_tree = False
     for number, line in enumerate(lines[1:], 2):
         key, _, rest = line.partition(" ")
         if key not in _FIELDS:
@@ -119,7 +136,6 @@ def read_report(path: str | Path) -> RunReport:
             elif key == "time_seconds":
                 report.time_seconds = float(rest)
             elif key == "tree":
-                saw_tree = True
                 nid, parent, depth, n_members, scatter = rest.split()
                 tree.append(TreeRecord(
                     int(nid), None if parent == "-" else int(parent),
@@ -135,10 +151,18 @@ def read_report(path: str | Path) -> RunReport:
                 report.nmi = float(rest)
         except (ValueError, IndexError):
             raise ValueError(f"{path}: malformed {key} on line {number}: {line!r}") from None
-    if saw_tree:
+    if tree:
         for rec in tree:
             if rec.node_id in leaf_members:
                 rec.leaf_members = leaf_members[rec.node_id]
         report.tree = tree
     report.validate()
+    for number, (line, want) in enumerate(zip_longest(lines, _report_lines(report)), 1):
+        if line != want:
+            raise ValueError(f"{path}: not as textpart writes it: line {number} is {_shown(line)}, "
+                             f"expected {_shown(want)}")
     return report
+
+
+def _shown(line: str | None) -> str:
+    return "no line" if line is None else repr(line)

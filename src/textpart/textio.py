@@ -11,9 +11,10 @@ from pathlib import Path
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of ``path``; a ``ValueError`` naming the file if it is not UTF-8."""
+    """The text of ``path`` without a leading byte-order mark; a
+    ``ValueError`` naming the file if it is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
 

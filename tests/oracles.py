@@ -456,7 +456,8 @@ def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: 
         rows = matrix[members]
         c = centroid(rows)
         d2 = sq_distances(rows, c)[:, 0]
-        return ClusterStats(members, c, float(np.sqrt(d2).mean()), float(d2.sum()))
+        return ClusterStats(members, c, float(np.sqrt(d2).mean()), float(d2.sum()),
+                            float(row_sq_norms(rows).max()))
 
     def total_scatter_sq(rows, center):
         return float(sq_distances(rows, center)[:, 0].sum())

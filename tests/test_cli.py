@@ -53,6 +53,25 @@ def test_ingest_stop_words(tmp_path):
     assert "the" not in vocab and "fox" in vocab
 
 
+def _ingest_with_stop_words(tmp_path, stop_text):
+    src = tmp_path / "lines.txt"
+    src.write_text("The cat sat\nthe dog ran\nThe cat ran\n", encoding="utf-8")
+    sw = tmp_path / "stop.txt"
+    sw.write_text(stop_text, encoding="utf-8")
+    prefix = tmp_path / "out"
+    assert main(["ingest", str(src), "--output", str(prefix), "--stop-words", str(sw),
+                 "--min-count", "1"]) == 0
+    return (tmp_path / "out.vocab").read_text(encoding="utf-8").split()
+
+
+def test_ingest_capitalised_stop_words_match(tmp_path):
+    assert _ingest_with_stop_words(tmp_path, "The\nCat\n") == ["dog", "ran", "sat"]
+
+
+def test_ingest_stop_words_file_that_starts_with_a_byte_order_mark(tmp_path):
+    assert _ingest_with_stop_words(tmp_path, "\ufeffthe\ncat\n") == ["dog", "ran", "sat"]
+
+
 def test_ingest_unique_terms_corpus_errors(tmp_path, capsys):
     d = tmp_path / "uniq"
     d.mkdir()
@@ -309,6 +328,56 @@ def test_eval_names_a_malformed_report_field(tmp_path, capsys, key, bad):
     assert main(["eval", str(out), str(lab)]) == 1
     err = capsys.readouterr().err
     assert err == f"textpart: error: {out}: malformed {key} on line {number + 1}: {bad!r}\n"
+
+
+@pytest.mark.parametrize("key", ["algorithm", "seed", "time_seconds"])
+def test_eval_rejects_a_report_missing_a_line(tmp_path, capsys, key):
+    """Written back, the report would hold an `algorithm `, `seed 0` or
+    `time_seconds 0.0` line that no run wrote."""
+    out, lab = _report_and_labels(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    number = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+    edited = "\n".join(lines[:number] + lines[number + 1:]) + "\n"
+    out.write_text(edited, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", str(out), str(lab)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"textpart: error: {out}: not as textpart writes it: line {number + 1} is ")
+    assert out.read_text(encoding="utf-8") == edited
+
+
+def test_eval_rejects_leaf_members_of_a_node_with_no_tree_line(tmp_path, capsys):
+    """Written back, the report would lose the `leaf_members` line."""
+    out, lab = _report_and_labels(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    number = next(i for i, ln in enumerate(lines) if ln.startswith("leaf_members "))
+    lines.insert(number, "leaf_members 99 0")
+    edited = "\n".join(lines) + "\n"
+    out.write_text(edited, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", str(out), str(lab)]) == 1
+    assert capsys.readouterr().err == (
+        f"textpart: error: {out}: not as textpart writes it: line {number + 1} is "
+        f"'leaf_members 99 0', expected {lines[number + 1]!r}\n")
+    assert out.read_text(encoding="utf-8") == edited
+
+
+def _hand_report(tmp_path):
+    """A four-document report: documents 1 and 2 in one cluster, 3 and 4 in the other."""
+    from textpart.report import RunReport, write_report
+
+    out = tmp_path / "hand.report"
+    write_report(RunReport(algorithm="sib", seed=0, params=[("stop", "fixed"), ("k", "2")],
+                           k_found=2, assignments=[("1", 0), ("2", 0), ("3", 1), ("4", 1)]), out)
+    return out
+
+
+def test_eval_reads_a_labels_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    out = _hand_report(tmp_path)
+    lab = tmp_path / "labels.txt"
+    lab.write_text("\ufeffx\nx\ny\ny\n", encoding="utf-8")
+    assert main(["eval", str(out), str(lab)]) == 0
+    assert capsys.readouterr().out == "1.0000\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -46,7 +46,7 @@ def test_split_cluster_needs_two_members():
 
 
 def _leaf(node_id, members, scatter):
-    stats = ClusterStats(np.asarray(members), np.zeros(1), scatter, 0.0)
+    stats = ClusterStats(np.asarray(members), np.zeros(1), scatter, 0.0, 0.0)
     return TreeNode(node_id, None, 0, stats)
 
 
