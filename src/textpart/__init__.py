@@ -27,11 +27,8 @@ _MODULE_OF = {
     "bic_split_test": "model_select",
     "build_matrix": "corpus",
     "centroid": "linalg",
-    "complete_log_likelihood": "sgem",
     "csv": "model_select",
     "csv_stop": "model_select",
-    "e_step": "sgem",
-    "m_step": "sgem",
     "nmi": "evaluate",
     "param_count": "model_select",
     "pddp_run": "pddp",

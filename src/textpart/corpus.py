@@ -20,9 +20,9 @@ unsorted or repeated entries is first made canonical (``_canonical``).
 File formats handled here:
 
 * corpus input: a directory of UTF-8 ``.txt`` files (one document each,
-  doc_id = filename, which must hold no line break) or a single UTF-8
-  file with one document per ``str.splitlines`` line (doc_id = 1-based
-  line number);
+  doc_id = filename, which must be valid UTF-8 and hold no line break) or
+  a single UTF-8 file with one document per ``str.splitlines`` line
+  (doc_id = 1-based line number);
 * stop-word list: one term per line;
 * sparse matrix: first line ``n_docs n_terms nnz``, then one
   ``doc_index term_index value`` line per entry (0-based, whitespace-separated),
@@ -318,10 +318,20 @@ def read_stop_words(path: str | Path) -> frozenset[str]:
 
 
 def read_corpus_dir(path: str | Path) -> tuple[list[str], list[str]]:
-    """All ``*.txt`` files of a directory, one document each, sorted by name."""
+    """All ``*.txt`` files of a directory, one document each, sorted by name.
+
+    A file name is a doc id, which ``write_matrix`` writes as UTF-8, so a
+    name that does not encode as UTF-8 raises ``ValueError`` before any
+    file is read.
+    """
     files = sorted(p for p in Path(path).iterdir() if p.suffix == ".txt" and p.is_file())
     if not files:
         raise EmptyCorpusError(f"no .txt files in {path}")
+    for p in files:
+        try:
+            p.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}: file name {p.name!r} is not valid UTF-8") from None
     return [read_utf8(p) for p in files], [p.name for p in files]
 
 

@@ -76,22 +76,21 @@ def centroid(rows) -> np.ndarray:
     return np.asarray(rows, dtype=float).mean(axis=0)
 
 
-def sq_distances(rows, centers: np.ndarray, *, sq_norms: np.ndarray | None = None) -> np.ndarray:
+def sq_distances(rows, centers: np.ndarray, *, sq_norms: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from every row to every center.
 
     Returns an (n_rows, n_centers) dense array. Uses the expansion
     ||d - m||^2 = ||d||^2 - 2 d.m + ||m||^2 so CSR rows are never
     densified; tiny negative values from cancellation are clipped to 0.
-    ``sq_norms``, if given, must be ``row_sq_norms(rows)``; it is computed
-    when omitted. The arithmetic runs in place in the product
+    ``sq_norms`` must be ``row_sq_norms(rows)``; every caller already
+    holds it. The arithmetic runs in place in the product
     ``rows @ centers.T``, which is returned.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    rn = row_sq_norms(rows) if sq_norms is None else sq_norms
     cn = np.einsum("ij,ij->i", centers, centers)
     d2 = np.asarray(rows @ centers.T)
     d2 *= 2.0
-    np.subtract(rn[:, None], d2, out=d2)
+    np.subtract(sq_norms[:, None], d2, out=d2)
     d2 += cn
     np.maximum(d2, 0.0, out=d2)
     return d2

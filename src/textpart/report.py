@@ -111,7 +111,8 @@ def read_report(path: str | Path) -> RunReport:
     (compared one at a time, so no second copy of the report is held), so
     a report missing a line, repeating one or holding a line no field keeps
     (such as ``leaf_members`` of a node with no ``tree`` line) cannot be
-    read and written back changed.
+    read and written back changed. A doc id assigned on two lines is
+    rejected too, naming both lines.
     """
     lines = read_utf8(path).splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
@@ -161,6 +162,15 @@ def read_report(path: str | Path) -> RunReport:
         if line != want:
             raise ValueError(f"{path}: not as textpart writes it: line {number} is {_shown(line)}, "
                              f"expected {_shown(want)}")
+    # The assignment lines come last but for ``nmi``. Released first, the
+    # lines make room for the doc-id table, so it adds nothing to the peak.
+    first = len(lines) - len(report.assignments) - (report.nmi is not None) + 1
+    del lines
+    assigned_on: dict[str, int] = {}
+    for number, (doc_id, _) in enumerate(report.assignments, first):
+        if assigned_on.setdefault(doc_id, number) != number:
+            raise ValueError(f"{path}: doc id {doc_id!r} on line {number} "
+                             f"repeats line {assigned_on[doc_id]}")
     return report
 
 

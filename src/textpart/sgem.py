@@ -21,8 +21,8 @@ of each cluster. ``sgem_run`` computes each statistic once:
 - the cluster sums once per iteration, for the new assignment, shared by
   its log-likelihood and the next M-step.
 
-The step functions take these statistics as optional keyword arguments
-and compute them when they are omitted.
+The step functions take these statistics as required keyword arguments
+and never compute one they are handed; ``sgem_run`` is the entry point.
 """
 
 from __future__ import annotations
@@ -87,15 +87,14 @@ def _repair_empty_clusters(
     return labels, sums, counts
 
 
-def m_step(assign: Partition, matrix, *, sums: np.ndarray | None = None,
-           sq_norms: np.ndarray | None = None) -> SGemModel:
+def m_step(assign: Partition, matrix, *, sums: np.ndarray, sq_norms: np.ndarray) -> SGemModel:
     """Refit priors, centroids and the shared variance to a hard assignment.
 
-    Empty clusters are repaired first by re-seeding each with the document
-    farthest from its current centroid (donor keeps >= 1 member); the input
-    assignment is not mutated. ``sums`` (the cluster sums of ``assign``,
-    ``cluster_sums(matrix, assign.labels, assign.k)[0]``) and ``sq_norms``
-    (``row_sq_norms(matrix)``) are computed when omitted; after a repair
+    ``sums`` must be the cluster sums of ``assign``,
+    ``cluster_sums(matrix, assign.labels, assign.k)[0]``, and ``sq_norms``
+    must be ``row_sq_norms(matrix)``. Empty clusters are repaired first by
+    re-seeding each with the document farthest from its current centroid
+    (donor keeps >= 1 member); the input assignment is not mutated, and
     the sums are recomputed for the repaired labels.
     """
     n, d = matrix.shape
@@ -103,10 +102,6 @@ def m_step(assign: Partition, matrix, *, sums: np.ndarray | None = None,
         raise ValueError("assignment length does not match matrix")
     k = assign.k
     labels = assign.labels
-    if sums is None:
-        sums = cluster_sums(matrix, labels, k)[0]
-    if sq_norms is None:
-        sq_norms = row_sq_norms(matrix)
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         labels, sums, counts = _repair_empty_clusters(labels, sums, counts, matrix, sq_norms)
@@ -118,13 +113,13 @@ def m_step(assign: Partition, matrix, *, sums: np.ndarray | None = None,
     return SGemModel(counts / n, centroids, sigma2)
 
 
-def e_step(model: SGemModel, matrix, *, sq_norms: np.ndarray | None = None) -> Partition:
+def e_step(model: SGemModel, matrix, *, sq_norms: np.ndarray) -> Partition:
     """Assign each document to the maximum-posterior component.
 
     Score: log P(c_j) - ||d_i - m_j||^2 / (2 s2); the shared
     -(d/2) log(2 pi s2) term cancels in the argmax. Components with zero
     prior never win; ties go to the smallest component index.
-    ``sq_norms`` (``row_sq_norms(matrix)``) is computed when omitted.
+    ``sq_norms`` must be ``row_sq_norms(matrix)``.
     """
     if not np.any(model.priors > 0):
         raise ValueError("invalid model: all component priors are zero")
@@ -136,20 +131,16 @@ def e_step(model: SGemModel, matrix, *, sq_norms: np.ndarray | None = None) -> P
     return Partition(np.argmax(scores, axis=1), model.k)
 
 
-def complete_log_likelihood(model: SGemModel, assign: Partition, matrix, *,
-                            sums: np.ndarray | None = None,
-                            sq_norms: np.ndarray | None = None) -> float:
+def complete_log_likelihood(model: SGemModel, assign: Partition, *, sums: np.ndarray,
+                            sq_norms: np.ndarray) -> float:
     """log L_c = sum_i [log P(c_{z_i}) - (d/2) log(2 pi s2) - ||d_i - m_{z_i}||^2/(2 s2)].
 
-    ``sums`` (``cluster_sums(matrix, assign.labels, model.k)[0]``) and
-    ``sq_norms`` (``row_sq_norms(matrix)``) are computed when omitted.
+    For a matrix of d columns, ``sums`` must be
+    ``cluster_sums(matrix, assign.labels, model.k)[0]`` and ``sq_norms``
+    must be ``row_sq_norms(matrix)``; n is ``assign.n_docs``.
     """
-    n, d = matrix.shape
+    n, d = assign.n_docs, sums.shape[1]
     labels = assign.labels
-    if sums is None:
-        sums = cluster_sums(matrix, labels, model.k)[0]
-    if sq_norms is None:
-        sq_norms = row_sq_norms(matrix)
     counts = np.bincount(labels, minlength=model.k)
     # per-cluster residual sum: sum_{i in j} ||d_i||^2 - 2 m_j . s_j + n_j ||m_j||^2
     rn_per = np.bincount(labels, weights=sq_norms, minlength=model.k)
@@ -199,7 +190,7 @@ def sgem_run(
         model = m_step(z, matrix, sums=sums, sq_norms=sq_norms)
         z_new = e_step(model, matrix, sq_norms=sq_norms)
         sums = cluster_sums(matrix, z_new.labels, init.k)[0]
-        trace.append(complete_log_likelihood(model, z_new, matrix, sums=sums, sq_norms=sq_norms))
+        trace.append(complete_log_likelihood(model, z_new, sums=sums, sq_norms=sq_norms))
         fixed_point = bool(np.array_equal(z_new.labels, z.labels))
         z = z_new
         if fixed_point:

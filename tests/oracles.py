@@ -455,12 +455,12 @@ def pddp_run_recompute(matrix, stop: str = "fixed", k: int | None = None, seed: 
         members = np.asarray(members, dtype=np.intp)
         rows = matrix[members]
         c = centroid(rows)
-        d2 = sq_distances(rows, c)[:, 0]
+        d2 = sq_distances(rows, c, sq_norms=row_sq_norms(rows))[:, 0]
         return ClusterStats(members, c, float(np.sqrt(d2).mean()), float(d2.sum()),
                             float(row_sq_norms(rows).max()))
 
     def total_scatter_sq(rows, center):
-        return float(sq_distances(rows, center)[:, 0].sum())
+        return float(sq_distances(rows, center, sq_norms=row_sq_norms(rows))[:, 0].sum())
 
     def principal_direction(rows, seed=0):
         n, dim = rows.shape

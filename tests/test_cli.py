@@ -169,6 +169,20 @@ def test_ingest_splits_lines_as_cluster_reads_them(tmp_path, capsys):
     assert main(["cluster", str(prefix), "--algo", "pddp", "--stop", "fixed", "--k", "2"]) == 0
 
 
+def test_ingest_names_a_file_name_that_is_not_utf8_and_writes_nothing(tmp_path, capsys):
+    """The doc id of such a file could not be written to ``.docs``; it is
+    named before any file is read or written."""
+    d = _make_corpus_dir(tmp_path)
+    name = os.fsdecode(b"c\xff.txt")
+    try:
+        (d / name).write_text(DOC_A, encoding="utf-8")
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    assert main(["ingest", str(d), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"textpart: error: {d}: file name {name!r} is not valid UTF-8\n"
+    assert not list(tmp_path.glob("out.*"))
+
+
 def test_cluster_pddp_fixed_k_report_structure(tmp_path):
     prefix = _ingested_prefix(tmp_path)
     out = tmp_path / "run.report"
@@ -370,6 +384,19 @@ def _hand_report(tmp_path):
     write_report(RunReport(algorithm="sib", seed=0, params=[("stop", "fixed"), ("k", "2")],
                            k_found=2, assignments=[("1", 0), ("2", 0), ("3", 1), ("4", 1)]), out)
     return out
+
+
+def test_eval_rejects_a_report_that_assigns_a_doc_id_twice(tmp_path, capsys):
+    out = tmp_path / "twice.report"
+    edited = ("textpart-report 1\nalgorithm sib\nseed 0\nparam stop fixed\nparam k 2\nk_found 2\n"
+              "time_seconds 0.0\nassignment a 0\nassignment b 1\nassignment b 1\n")
+    out.write_text(edited, encoding="utf-8")
+    lab = tmp_path / "labels.txt"
+    lab.write_text("x\ny\ny\n", encoding="utf-8")
+    assert main(["eval", str(out), str(lab)]) == 1
+    assert capsys.readouterr().err == (
+        f"textpart: error: {out}: doc id 'b' on line 10 repeats line 9\n")
+    assert out.read_text(encoding="utf-8") == edited
 
 
 def test_eval_reads_a_labels_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from datagen import two_gaussians
+from datagen import multinomial_corpus, two_gaussians
 from textpart import model_select
-from textpart.linalg import ClusterStats
+from textpart.corpus import tfidf_weight
+from textpart.linalg import ClusterStats, cluster_sums, row_sq_norms
 from textpart.model_select import (
     bic_from_residuals,
     bic_score,
@@ -173,11 +174,12 @@ def test_bic_split_test_matches_full_partition_scores():
 
         # bic_score against the sGEM complete-data log-likelihood of its M-step
         for part in (before, after):
-            model = m_step(part, M)
+            sums, sq_norms = cluster_sums(M, part.labels, part.k)[0], row_sq_norms(M)
+            model = m_step(part, M, sums=sums, sq_norms=sq_norms)
             if model.sigma2 <= SIGMA2_FLOOR:
                 assert bic_score(part, M) == -np.inf
                 continue
-            ref = (complete_log_likelihood(model, part, M)
+            ref = (complete_log_likelihood(model, part, sums=sums, sq_norms=sq_norms)
                    - param_count(part.k, d) / 2.0 * math.log(M.shape[0]))
             assert _close(bic_score(part, M), ref)
     assert floors >= 1
@@ -203,6 +205,32 @@ def test_csv_stop_false_for_single_leaf():
     X = np.random.default_rng(2).normal(size=(10, 2))
     tree = pddp_run(X, stop="fixed", k=1, seed=0)
     assert not csv_stop(tree.leaves())
+
+
+@pytest.mark.parametrize("seed, n_leaves", [(0, 222), (1, 284), (2, 339)])
+def test_csv_on_c9_overshoots_with_scatter_as_the_mean_distance(seed, n_leaves):
+    """Characterises the CSV rule on the 8-topic C9 corpora: with scatter the
+    mean Euclidean distance to the centroid, the rule fires only at hundreds
+    of leaves. Every node's scatter and sse are those definitions, computed
+    densely; a one-document leaf keeps the rounding of the norm expansion
+    (its sse is a few ulps of its unit row's squared norm, not 0)."""
+    tdm, _ = multinomial_corpus(seed)
+    matrix = tfidf_weight(tdm)[0].matrix
+    tree = pddp_run(matrix, stop="csv", seed=0)
+    leaves = tree.leaves()
+    assert (len(leaves), tree.warning) == (n_leaves, False)
+    assert csv(leaves) > max(leaf.stats.scatter for leaf in leaves)
+    if seed != 0:
+        return
+    for node in tree.nodes:
+        rows = matrix[node.stats.members].toarray()
+        dist = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
+        if node.stats.size == 1:
+            assert node.stats.sse <= 4 * np.finfo(float).eps
+            assert node.stats.scatter == math.sqrt(node.stats.sse)
+            continue
+        assert node.stats.scatter == pytest.approx(dist.mean(), rel=1e-9)
+        assert node.stats.sse == pytest.approx((dist ** 2).sum(), rel=1e-9)
 
 
 def test_csv_stop_flips_at_most_once_on_two_clouds():

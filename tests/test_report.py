@@ -135,6 +135,16 @@ def test_format_read_report_round_trips_losslessly(tmp_path, report):
     text = format_report(report)
     path = Path(tempfile.mkdtemp(dir=tmp_path)) / "r.report"
     path.write_text(text, encoding="utf-8")
+    ids = [doc_id for doc_id, _ in report.assignments]
+    repeat = next((j for j, doc_id in enumerate(ids) if doc_id in ids[:j]), None)
+    if repeat is not None:
+        # a doc id assigned twice is rejected, naming both lines
+        first = len(text.splitlines()) - len(ids) - (report.nmi is not None) + 1
+        with pytest.raises(ValueError) as err:
+            read_report(path)
+        assert str(err.value) == (f"{path}: doc id {ids[repeat]!r} on line {first + repeat} "
+                                  f"repeats line {first + ids.index(ids[repeat])}")
+        return
     back = read_report(path)
     assert back == report
     assert format_report(back) == text

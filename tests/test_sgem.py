@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from datagen import five_clusters, multinomial_corpus, two_gaussians
 from oracles import sgem_run_recompute
 from textpart import linalg, nmi, pddp_run, sgem, tfidf_weight
+from textpart.linalg import cluster_sums, row_sq_norms
 from textpart.partition import Partition
 from textpart.sgem import (
     SIGMA2_FLOOR,
@@ -21,13 +22,15 @@ from textpart.sgem import (
 
 def test_e_step_nearest_centroid_under_equal_priors():
     model = SGemModel([0.5, 0.5], [[0.0, 0.0], [10.0, 0.0]], 1.0)
-    z = e_step(model, np.array([[1.0, 0.0]]))
+    X = np.array([[1.0, 0.0]])
+    z = e_step(model, X, sq_norms=row_sq_norms(X))
     assert z.labels.tolist() == [0]
 
 
 def test_e_step_tie_breaks_to_smallest_index():
     model = SGemModel([0.5, 0.5], [[0.0, 0.0], [10.0, 0.0]], 1.0)
-    z = e_step(model, np.array([[5.0, 0.0]]))
+    X = np.array([[5.0, 0.0]])
+    z = e_step(model, X, sq_norms=row_sq_norms(X))
     assert z.labels.tolist() == [0]
 
 
@@ -38,38 +41,45 @@ def test_e_step_prior_shifts_decision():
     s1 = math.log(0.1) - 1.5**2 / 2
     assert s0 == pytest.approx(-3.2303605156578263)
     assert s1 == pytest.approx(-3.427585092994046)
-    z = e_step(model, np.array([[2.5]]))
+    X = np.array([[2.5]])
+    z = e_step(model, X, sq_norms=row_sq_norms(X))
     assert z.labels.tolist() == [0]
 
 
 def test_e_step_excludes_zero_prior_clusters():
     model = SGemModel([0.0, 1.0], [[0.0], [100.0]], 1.0)
-    z = e_step(model, np.array([[0.0]]))
+    X = np.array([[0.0]])
+    z = e_step(model, X, sq_norms=row_sq_norms(X))
     assert z.labels.tolist() == [1]
 
 
 def test_e_step_all_zero_priors_invalid():
     model = SGemModel([0.0, 0.0], [[0.0], [1.0]], 1.0)
+    X = np.array([[0.0]])
     with pytest.raises(ValueError, match="priors"):
-        e_step(model, np.array([[0.0]]))
+        e_step(model, X, sq_norms=row_sq_norms(X))
 
 
 def test_m_step_single_cluster_identity():
     X = np.array([[0.0, 2.0], [2.0, 0.0], [4.0, 4.0]])
-    model = m_step(Partition(np.zeros(3, dtype=int), 1), X)
+    z = Partition(np.zeros(3, dtype=int), 1)
+    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
     assert model.priors.tolist() == [1.0]
     assert model.centroids[0] == pytest.approx(X.mean(axis=0))
 
 
 def test_m_step_sigma2_scalar_case():
-    model = m_step(Partition(np.zeros(2, dtype=int), 1), np.array([[0.0], [2.0]]))
+    X = np.array([[0.0], [2.0]])
+    z = Partition(np.zeros(2, dtype=int), 1)
+    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
     assert model.centroids[0] == pytest.approx([1.0])
     assert model.sigma2 == pytest.approx(1.0)
 
 
 def test_m_step_priors_are_counts_over_n():
     X = np.array([[0.0], [0.1], [-0.1], [9.0]])
-    model = m_step(Partition(np.array([0, 0, 0, 1]), 2), X)
+    z = Partition(np.array([0, 0, 0, 1]), 2)
+    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
     assert model.priors.tolist() == [0.75, 0.25]
 
 
@@ -81,13 +91,14 @@ def test_m_step_priors_sum_exactly_rationally():
     if np.any(counts == 0):  # repaired case would change counts; keep the raw check
         counts = counts[counts > 0]
     assert sum(Fraction(int(c), 23) for c in counts) == 1
-    model = m_step(z, X)
+    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
     assert abs(model.priors.sum() - 1.0) < 1e-12
 
 
 def test_m_step_repairs_empty_cluster_with_farthest_doc():
     X = np.array([[0.0], [0.1], [5.0]])
-    model = m_step(Partition(np.array([0, 0, 0]), 2), X)
+    z = Partition(np.array([0, 0, 0]), 2)
+    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
     # doc 2 is farthest from the cluster-0 centroid and seeds cluster 1
     assert model.priors.tolist() == pytest.approx([2 / 3, 1 / 3])
     assert model.centroids[1] == pytest.approx([5.0])
@@ -95,36 +106,46 @@ def test_m_step_repairs_empty_cluster_with_farthest_doc():
 
 def test_m_step_sigma2_floor():
     X = np.array([[1.0, 1.0], [1.0, 1.0]])
-    model = m_step(Partition(np.zeros(2, dtype=int), 1), X)
+    z = Partition(np.zeros(2, dtype=int), 1)
+    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
     assert model.sigma2 == SIGMA2_FLOOR
 
 
 def test_cll_zero_case():
     # one doc exactly at its centroid, sigma2 = 1/(2 pi), d = 1 -> log L_c = 0
     model = SGemModel([1.0], [[3.0]], 1.0 / (2.0 * math.pi))
-    value = complete_log_likelihood(model, Partition(np.array([0]), 1), np.array([[3.0]]))
+    X, z = np.array([[3.0]]), Partition(np.array([0]), 1)
+    value = complete_log_likelihood(model, z, sums=cluster_sums(X, z.labels, z.k)[0],
+                                    sq_norms=row_sq_norms(X))
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cll_decreases_when_residuals_double():
     model = SGemModel([1.0], [[0.0]], 1.0)
-    near = complete_log_likelihood(model, Partition(np.array([0, 0]), 1), np.array([[1.0], [-1.0]]))
-    far = complete_log_likelihood(model, Partition(np.array([0, 0]), 1), np.array([[2.0], [-2.0]]))
+    z = Partition(np.array([0, 0]), 1)
+    X_near, X_far = np.array([[1.0], [-1.0]]), np.array([[2.0], [-2.0]])
+    near = complete_log_likelihood(model, z, sums=cluster_sums(X_near, z.labels, z.k)[0],
+                                   sq_norms=row_sq_norms(X_near))
+    far = complete_log_likelihood(model, z, sums=cluster_sums(X_far, z.labels, z.k)[0],
+                                  sq_norms=row_sq_norms(X_far))
     assert far < near
 
 
 def test_cll_unit_prior_contributes_zero():
     model = SGemModel([1.0], [[0.0]], 1.0)
-    value = complete_log_likelihood(model, Partition(np.array([0]), 1), np.array([[0.0]]))
+    X, z = np.array([[0.0]]), Partition(np.array([0]), 1)
+    value = complete_log_likelihood(model, z, sums=cluster_sums(X, z.labels, z.k)[0],
+                                    sq_norms=row_sq_norms(X))
     assert value == pytest.approx(-0.5 * math.log(2 * math.pi))
 
 
 def test_cll_finite_at_sigma_floor():
     X = np.array([[1.0], [1.0]])
     z = Partition(np.zeros(2, dtype=int), 1)
-    model = m_step(z, X)
+    sums, sq_norms = cluster_sums(X, z.labels, z.k)[0], row_sq_norms(X)
+    model = m_step(z, X, sums=sums, sq_norms=sq_norms)
     assert model.sigma2 == SIGMA2_FLOOR
-    assert np.isfinite(complete_log_likelihood(model, z, X))
+    assert np.isfinite(complete_log_likelihood(model, z, sums=sums, sq_norms=sq_norms))
 
 
 def test_sgem_run_fixed_point_converges_in_one_iteration():
@@ -171,8 +192,11 @@ def test_idempotence_at_convergence():
     X, _ = five_clusters(1)
     tree = pddp_run(X, stop="fixed", k=5, seed=1)
     final, _, _ = sgem_run(tree.partition(), X)
-    once = e_step(m_step(final, X), X)
-    twice = e_step(m_step(once, X), X)
+    sq_norms = row_sq_norms(X)
+    once = e_step(m_step(final, X, sums=cluster_sums(X, final.labels, final.k)[0], sq_norms=sq_norms),
+                  X, sq_norms=sq_norms)
+    twice = e_step(m_step(once, X, sums=cluster_sums(X, once.labels, once.k)[0], sq_norms=sq_norms),
+                   X, sq_norms=sq_norms)
     assert np.array_equal(once.labels, twice.labels)
 
 
@@ -236,7 +260,7 @@ def test_sgem_run_computes_each_statistic_once(case, monkeypatch):
     calls = {}
     for name in ("cluster_sums", "row_sq_norms", "m_step", "e_step", "complete_log_likelihood"):
         _count_calls(monkeypatch, sgem, name, calls)
-    # sq_distances looks row norms up in linalg; count those calls too
+    # a row-norm pass made inside linalg counts too
     _count_calls(monkeypatch, linalg, "row_sq_norms", calls)
     moves = {"n": 0}
     repair = sgem._repair_empty_clusters
