@@ -6,7 +6,7 @@ Layout (order is fixed so a report round-trips byte-identically):
     algorithm <name>
     seed <int>
     param <name> <value>            (zero or more, insertion order)
-    k_found <int>
+    k_found <int>                   (distinct clusters in the assignment lines)
     time_seconds <float repr>
     tree <id> <parent|-> <depth> <n_members> <scatter repr>   (when PDDP ran)
     leaf_members <id> <doc_index>...                          (one per leaf)
@@ -47,18 +47,15 @@ class RunReport:
     algorithm: str
     seed: int
     params: list[tuple[str, str]] = field(default_factory=list)
-    k_found: int = 0
     time_seconds: float = 0.0
     tree: list[TreeRecord] | None = None
     assignments: list[tuple[str, int]] = field(default_factory=list)
     nmi: float | None = None
 
-    def validate(self) -> None:
-        distinct = len({c for _, c in self.assignments})
-        if distinct != self.k_found:
-            raise ValueError(
-                f"k_found={self.k_found} but assignments contain {distinct} distinct clusters"
-            )
+    @property
+    def k_found(self) -> int:
+        """The number of distinct clusters in ``assignments``."""
+        return len({c for _, c in self.assignments})
 
 
 def tree_records(tree) -> list[TreeRecord]:
@@ -94,9 +91,22 @@ def _report_lines(report: RunReport) -> Iterator[str]:
         yield f"nmi {report.nmi:.4f}"
 
 
+def _check_doc_ids(report: RunReport, n_lines: int) -> None:
+    """Reject a doc id assigned twice, naming both lines of the report's
+    ``n_lines`` (the assignment lines come last but for ``nmi``)."""
+    first = n_lines - len(report.assignments) - (report.nmi is not None) + 1
+    seen: dict[str, int] = {}
+    for number, (doc_id, _) in enumerate(report.assignments, first):
+        if seen.setdefault(doc_id, number) != number:
+            raise ValueError(f"doc id {doc_id!r} on line {number} repeats line {seen[doc_id]}")
+
+
 def format_report(report: RunReport) -> str:
-    report.validate()
-    return "\n".join(_report_lines(report)) + "\n"
+    """The report's text; ``ValueError`` names a doc id assigned twice, as
+    ``read_report`` would."""
+    text = "\n".join(_report_lines(report)) + "\n"
+    _check_doc_ids(report, text.count("\n"))
+    return text
 
 
 def write_report(report: RunReport, path: str | Path) -> None:
@@ -111,8 +121,10 @@ def read_report(path: str | Path) -> RunReport:
     (compared one at a time, so no second copy of the report is held), so
     a report missing a line, repeating one or holding a line no field keeps
     (such as ``leaf_members`` of a node with no ``tree`` line) cannot be
-    read and written back changed. A doc id assigned on two lines is
-    rejected too, naming both lines.
+    read and written back changed. That comparison also rejects a
+    ``k_found`` line that is not the number of distinct clusters in the
+    assignment lines. A doc id assigned on two lines is rejected too,
+    naming both lines, as ``format_report`` refuses to write one.
     """
     lines = read_utf8(path).splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
@@ -132,8 +144,6 @@ def read_report(path: str | Path) -> RunReport:
             elif key == "param":
                 name, _, value = rest.partition(" ")
                 report.params.append((name, value))
-            elif key == "k_found":
-                report.k_found = int(rest)
             elif key == "time_seconds":
                 report.time_seconds = float(rest)
             elif key == "tree":
@@ -157,20 +167,18 @@ def read_report(path: str | Path) -> RunReport:
             if rec.node_id in leaf_members:
                 rec.leaf_members = leaf_members[rec.node_id]
         report.tree = tree
-    report.validate()
     for number, (line, want) in enumerate(zip_longest(lines, _report_lines(report)), 1):
         if line != want:
             raise ValueError(f"{path}: not as textpart writes it: line {number} is {_shown(line)}, "
                              f"expected {_shown(want)}")
-    # The assignment lines come last but for ``nmi``. Released first, the
-    # lines make room for the doc-id table, so it adds nothing to the peak.
-    first = len(lines) - len(report.assignments) - (report.nmi is not None) + 1
+    # Released first, the lines make room for the doc-id table, so it adds
+    # nothing to the peak.
+    n_lines = len(lines)
     del lines
-    assigned_on: dict[str, int] = {}
-    for number, (doc_id, _) in enumerate(report.assignments, first):
-        if assigned_on.setdefault(doc_id, number) != number:
-            raise ValueError(f"{path}: doc id {doc_id!r} on line {number} "
-                             f"repeats line {assigned_on[doc_id]}")
+    try:
+        _check_doc_ids(report, n_lines)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return report
 
 

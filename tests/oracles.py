@@ -718,7 +718,6 @@ def run_clustering_branches(
         algorithm=algo,
         seed=seed,
         params=params,
-        k_found=int(np.unique(labels).size),
         time_seconds=elapsed,
         tree=report_mod.tree_records(tree) if tree is not None else None,
         assignments=[(doc_id, int(c)) for doc_id, c in zip(tdm.doc_ids, labels)],

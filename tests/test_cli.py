@@ -286,8 +286,7 @@ def test_eval_hand_case_prints_zero(tmp_path, capsys):
     from textpart.report import RunReport, write_report
 
     rep = RunReport(algorithm="sib", seed=0, params=[("stop", "fixed"), ("k", "2")],
-                    k_found=2, time_seconds=0.0,
-                    assignments=[("1", 1), ("2", 2), ("3", 1), ("4", 2)])
+                    time_seconds=0.0, assignments=[("1", 1), ("2", 2), ("3", 1), ("4", 2)])
     out = tmp_path / "hand.report"
     write_report(rep, out)
     lab = tmp_path / "labels.txt"
@@ -382,7 +381,7 @@ def _hand_report(tmp_path):
 
     out = tmp_path / "hand.report"
     write_report(RunReport(algorithm="sib", seed=0, params=[("stop", "fixed"), ("k", "2")],
-                           k_found=2, assignments=[("1", 0), ("2", 0), ("3", 1), ("4", 1)]), out)
+                           assignments=[("1", 0), ("2", 0), ("3", 1), ("4", 1)]), out)
     return out
 
 
@@ -396,6 +395,21 @@ def test_eval_rejects_a_report_that_assigns_a_doc_id_twice(tmp_path, capsys):
     assert main(["eval", str(out), str(lab)]) == 1
     assert capsys.readouterr().err == (
         f"textpart: error: {out}: doc id 'b' on line 10 repeats line 9\n")
+    assert out.read_text(encoding="utf-8") == edited
+
+
+@pytest.mark.parametrize("k_found", ["3", "x"])
+def test_eval_rejects_a_k_found_line_the_assignments_do_not_give(tmp_path, capsys, k_found):
+    out = tmp_path / "k.report"
+    edited = ("textpart-report 1\nalgorithm sib\nseed 0\nparam stop fixed\nparam k 2\n"
+              f"k_found {k_found}\ntime_seconds 0.0\nassignment a 0\nassignment b 1\nassignment c 1\n")
+    out.write_text(edited, encoding="utf-8")
+    lab = tmp_path / "labels.txt"
+    lab.write_text("x\ny\ny\n", encoding="utf-8")
+    assert main(["eval", str(out), str(lab)]) == 1
+    assert capsys.readouterr().err == (
+        f"textpart: error: {out}: not as textpart writes it: line 6 is 'k_found {k_found}', "
+        "expected 'k_found 2'\n")
     assert out.read_text(encoding="utf-8") == edited
 
 
@@ -446,7 +460,7 @@ def test_cli_names_a_text_input_that_is_not_utf8(tmp_path, capsys, bad):
     labels.write_text("A\nB\n", encoding="utf-8")
     report = tmp_path / "run.report"
     rep = RunReport(algorithm="pddp", seed=0, params=[("stop", "fixed"), ("k", "2")],
-                    k_found=2, time_seconds=0.0, assignments=[("1", 0), ("2", 1)])
+                    time_seconds=0.0, assignments=[("1", 0), ("2", 1)])
     write_report(rep, report)
     path = {"labels": labels, "report": report, "stop-words": stop_words, "corpus-lines": lines,
             "corpus-dir": corpus / "b.txt"}[bad]

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ def _sample_report():
         algorithm="pddp+sgem",
         seed=7,
         params=[("stop", "fixed"), ("k", "3"), ("delta", "auto")],
-        k_found=3,
         time_seconds=0.12345678901234,
         tree=[
             TreeRecord(0, None, 0, 6, 2.5),
@@ -61,18 +61,33 @@ def test_report_nmi_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_k_found_validated_on_write(tmp_path):
+def test_k_found_follows_the_assignments_and_cannot_be_set():
     rep = _sample_report()
-    rep.k_found = 5
-    with pytest.raises(ValueError, match="k_found"):
-        write_report(rep, tmp_path / "bad.report")
+    assert rep.k_found == 3
+    rep.assignments.append(("g.txt", 7))
+    assert rep.k_found == 4
+    assert "k_found 4" in format_report(rep).splitlines()
+    with pytest.raises(AttributeError):
+        rep.k_found = 5
+    with pytest.raises(TypeError):
+        RunReport(algorithm="sib", seed=0, k_found=3)
+
+
+def test_write_report_refuses_a_doc_id_assigned_twice(tmp_path):
+    rep = RunReport(algorithm="sib", seed=0, params=[("stop", "fixed"), ("k", "2")],
+                    assignments=[("a", 0), ("b", 1), ("b", 1)])
+    path = tmp_path / "twice.report"
+    with pytest.raises(ValueError) as err:
+        write_report(rep, path)
+    assert str(err.value) == "doc id 'b' on line 10 repeats line 9"
+    assert not path.exists()
 
 
 def test_report_without_tree(tmp_path):
     rep = RunReport(
         algorithm="sib", seed=0,
         params=[("stop", "fixed"), ("k", "2")],
-        k_found=2, time_seconds=1.0,
+        time_seconds=1.0,
         assignments=[("1", 0), ("2", 1)],
     )
     path = tmp_path / "t.report"
@@ -93,7 +108,7 @@ def test_unknown_field_rejected(tmp_path):
 def test_doc_ids_with_spaces_round_trip(tmp_path):
     rep = RunReport(
         algorithm="pddp", seed=0, params=[("stop", "fixed"), ("k", "2")],
-        k_found=2, time_seconds=0.5,
+        time_seconds=0.5,
         assignments=[("my doc.txt", 0), ("other doc.txt", 1)],
     )
     path = tmp_path / "s.report"
@@ -121,7 +136,6 @@ def _reports(draw):
         algorithm=draw(_TEXT),
         seed=draw(st.integers()),
         params=draw(st.lists(st.tuples(_TEXT.filter(lambda t: " " not in t), _TEXT), max_size=5)),
-        k_found=len({c for _, c in assignments}),
         time_seconds=draw(_FLOATS),
         tree=tree,
         assignments=assignments,
@@ -132,19 +146,19 @@ def _reports(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(report=_reports())
 def test_format_read_report_round_trips_losslessly(tmp_path, report):
-    text = format_report(report)
-    path = Path(tempfile.mkdtemp(dir=tmp_path)) / "r.report"
-    path.write_text(text, encoding="utf-8")
     ids = [doc_id for doc_id, _ in report.assignments]
     repeat = next((j for j, doc_id in enumerate(ids) if doc_id in ids[:j]), None)
     if repeat is not None:
-        # a doc id assigned twice is rejected, naming both lines
-        first = len(text.splitlines()) - len(ids) - (report.nmi is not None) + 1
+        # a doc id assigned twice is refused, naming both lines
+        first = len(format_report(replace(report, assignments=[], nmi=None)).splitlines()) + 1
         with pytest.raises(ValueError) as err:
-            read_report(path)
-        assert str(err.value) == (f"{path}: doc id {ids[repeat]!r} on line {first + repeat} "
+            format_report(report)
+        assert str(err.value) == (f"doc id {ids[repeat]!r} on line {first + repeat} "
                                   f"repeats line {first + ids.index(ids[repeat])}")
         return
+    text = format_report(report)
+    path = Path(tempfile.mkdtemp(dir=tmp_path)) / "r.report"
+    path.write_text(text, encoding="utf-8")
     back = read_report(path)
     assert back == report
     assert format_report(back) == text
