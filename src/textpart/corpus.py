@@ -34,7 +34,9 @@ File formats handled here:
   line-by-line reader.
 
 The labels file that ``textpart eval`` scores against is read by
-``textio.read_labels``, which needs no numpy or scipy.
+``textio.read_labels``, which needs no numpy or scipy. ``scipy.sparse`` is
+imported where a CSR array is built (``build_matrix``, ``_scaled``,
+``_entries_to_csr``), so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import row_sq_norms
-from .textio import read_utf8
+from .textio import check_lines, read_utf8
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -68,20 +69,6 @@ def _check_unique(doc_ids: Iterable[str]) -> None:
         if doc_id in seen:
             raise ValueError(f"doc id {doc_id!r} repeats an earlier document")
         seen.add(doc_id)
-
-
-def _check_lines(kind: str, values: Sequence[str]) -> None:
-    """Raise ``ValueError`` at the first value that holds a line break.
-
-    ``write_matrix`` writes one doc id or term per line, and ``read_matrix``
-    splits those files into ``str.splitlines`` lines, so a value holding
-    any of its breaks (``\\r``, a form feed, U+0085, U+2028, ...) would
-    read back as two.
-    """
-    # A break anywhere gives a second line; the "x" keeps a final one.
-    if len(("".join(values) + "x").splitlines()) > 1:
-        bad = next(v for v in values if len((v + "x").splitlines()) > 1)
-        raise ValueError(f"{kind} {bad!r} holds a line break")
 
 
 @dataclass(frozen=True)
@@ -105,9 +92,9 @@ class TermDocMatrix:
         if (len(self.doc_ids), len(self.vocab)) != self.matrix.shape:
             raise ValueError(f"{len(self.doc_ids)} doc ids and {len(self.vocab)} terms do not fit "
                              f"a {self.n_docs} x {self.n_terms} matrix")
-        _check_lines("doc id", self.doc_ids)
+        check_lines("doc id", self.doc_ids)
         _check_unique(self.doc_ids)
-        _check_lines("term", self.vocab)
+        check_lines("term", self.vocab)
 
     @property
     def n_docs(self) -> int:
@@ -181,6 +168,8 @@ def build_matrix(
     kept term that holds one, and ``EmptyCorpusError`` if pruning
     eliminates every document.
     """
+    import scipy.sparse as sp
+
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     term_ids: dict[str, int] = {}
@@ -196,7 +185,7 @@ def build_matrix(
         doc_ids = [str(i) for i in range(n_docs)]
     if len(doc_ids) != n_docs:
         raise ValueError("doc_ids length does not match docs")
-    _check_lines("doc id", doc_ids)
+    check_lines("doc id", doc_ids)
     _check_unique(doc_ids)
 
     ids = np.frombuffer(tokens, dtype=np.intc)
@@ -246,6 +235,8 @@ def _scaled(matrix: sp.csr_array, factor: np.ndarray, axis: int) -> sp.csr_array
     values are new. Stored zeros stay stored, and each product is the one
     scipy's broadcasting ``multiply`` makes, without its COO round trip.
     """
+    import scipy.sparse as sp
+
     matrix = _canonical(matrix)
     scale = np.repeat(factor, np.diff(matrix.indptr)) if axis == 0 else factor[matrix.indices]
     scale *= matrix.data
@@ -530,6 +521,8 @@ def _entries_to_csr(rows, cols, vals, shape: tuple[int, int], mat: Path) -> sp.c
     compared, never combined into one key, so no product can overflow. The
     row-major ``cols`` and ``vals`` are the CSR indices and data.
     """
+    import scipy.sparse as sp
+
     r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
     if not np.all((r0 < r1) | ((r0 == r1) & (c0 < c1))):
         order = np.lexsort((cols, rows))

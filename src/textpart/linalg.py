@@ -2,10 +2,11 @@
 
 A document collection is an ``(n_rows, n_dims)`` matrix, either a dense
 ``numpy.ndarray`` or a ``scipy.sparse`` CSR array; single vectors are 1-D
-float arrays. The covariance of a row set is never materialized: the
-principal direction is extracted by a matrix-free restarted Lanczos
-(Krylov Rayleigh-Ritz) solve so that high-dimensional sparse term matrices
-stay sparse.
+float arrays. ``scipy.sparse`` is imported inside the functions that test
+or build sparse arrays, so importing this module loads numpy alone. The
+covariance of a row set is never materialized: the principal direction is
+extracted by a matrix-free restarted Lanczos (Krylov Rayleigh-Ritz) solve
+so that high-dimensional sparse term matrices stay sparse.
 
 Cluster statistics have one source each: ``ClusterStats.from_rows`` gives
 one row set's members, centroid, scatter, residual and largest squared row
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # Clusters whose RMS radius is below 1e-7 of the largest row norm are
 # indistinguishable from a point at float64 precision.
@@ -52,6 +52,8 @@ def row_sq_norms(rows) -> np.ndarray:
     zero square would regroup ``reduceat``'s pairwise sum. Sorting such
     input first would change the bits, so it is not done.
     """
+    import scipy.sparse as sp
+
     if not sp.issparse(rows):
         rows = np.asarray(rows, dtype=float)
         return np.einsum("ij,ij->i", rows, rows)
@@ -65,6 +67,8 @@ def row_sq_norms(rows) -> np.ndarray:
 
 def centroid(rows) -> np.ndarray:
     """Coordinate-wise arithmetic mean of a nonempty row set."""
+    import scipy.sparse as sp
+
     if rows.shape[0] == 0:
         raise ValueError("centroid of an empty cluster")
     if sp.issparse(rows):
@@ -107,6 +111,8 @@ def cluster_sums(matrix, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     per-cluster loop in ``tests/oracles.py``, hence the same bits. Empty
     clusters get zero sums.
     """
+    import scipy.sparse as sp
+
     labels = np.asarray(labels, dtype=np.int64)
     counts = np.bincount(labels, minlength=k)
     matrix = sp.csr_array(matrix)
@@ -171,6 +177,8 @@ def _constant_columns(rows, rows_t) -> np.ndarray:
     A sparse column is constant when it stores an entry in every row and
     those entries agree, or when every value it stores is zero.
     """
+    import scipy.sparse as sp
+
     if not sp.issparse(rows):
         return np.ptp(rows, axis=0) == 0
     stored = np.diff(rows_t.indptr)
@@ -214,6 +222,8 @@ def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None) -> n
     ``ConvergenceError`` when the residual bound is not met within
     ``_MAX_RESTARTS`` cycles.
     """
+    import scipy.sparse as sp
+
     n, dim = rows.shape
     if n < 2:
         raise ValueError("principal direction needs at least 2 rows")

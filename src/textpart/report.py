@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
-from .textio import read_utf8
+from .textio import check_lines, read_utf8
 
 FORMAT_HEADER = "textpart-report 1"
 _FIELDS = ("algorithm", "seed", "param", "k_found", "time_seconds", "tree", "leaf_members",
@@ -101,9 +101,25 @@ def _check_doc_ids(report: RunReport, n_lines: int) -> None:
             raise ValueError(f"doc id {doc_id!r} on line {number} repeats line {seen[doc_id]}")
 
 
+def _check_text(report: RunReport) -> None:
+    """Reject a text field that would not read back as written: one that
+    holds a line break (``str.splitlines``), or a ``param`` name that holds
+    a space, since the first space ends the name."""
+    names = [name for name, _ in report.params]
+    check_lines("algorithm", [report.algorithm])
+    check_lines("param name", names)
+    check_lines("param value", [value for _, value in report.params])
+    check_lines("doc id", [doc_id for doc_id, _ in report.assignments])
+    spaced = next((name for name in names if " " in name), None)
+    if spaced is not None:
+        raise ValueError(f"param name {spaced!r} holds a space")
+
+
 def format_report(report: RunReport) -> str:
-    """The report's text; ``ValueError`` names a doc id assigned twice, as
-    ``read_report`` would."""
+    """The report's text; ``ValueError`` names a text field that would not
+    read back as written, or a doc id assigned twice, as ``read_report``
+    would."""
+    _check_text(report)
     text = "\n".join(_report_lines(report)) + "\n"
     _check_doc_ids(report, text.count("\n"))
     return text

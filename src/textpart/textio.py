@@ -1,5 +1,6 @@
 """UTF-8 text input shared by the corpus readers, the report reader and
-``textpart eval``.
+``textpart eval``, and the check that a value written as one line of such
+a file holds no line break.
 
 It imports only the standard library, so reading a report and its labels
 needs neither numpy nor scipy.
@@ -7,6 +8,7 @@ needs neither numpy nor scipy.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from pathlib import Path
 
 
@@ -27,3 +29,16 @@ def read_labels(path: str | Path) -> list[str]:
     does.
     """
     return [ln.strip() for ln in read_utf8(path).splitlines()]
+
+
+def check_lines(kind: str, values: Sequence[str]) -> None:
+    """Raise ``ValueError`` at the first value that holds a line break.
+
+    The matrix and report files are read as ``str.splitlines`` lines, so a
+    value written on one line that holds any of its breaks (``\\r``, a form
+    feed, U+0085, U+2028, ...) would read back as two.
+    """
+    # A break anywhere gives a second line; the "x" keeps a final one.
+    if len(("".join(values) + "x").splitlines()) > 1:
+        bad = next(v for v in values if len((v + "x").splitlines()) > 1)
+        raise ValueError(f"{kind} {bad!r} holds a line break")

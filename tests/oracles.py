@@ -2,9 +2,9 @@
 
 Two kinds of code live here. The definitional references are brute force:
 dense covariance eigendecompositions, exhaustive bipartition enumeration,
-from-scratch statistic recomputation, I(T; Y) of an assignment, and the
-KL and JS divergences and merge cost d(x, t) from the conditionals. None
-of these shares code with the package paths it verifies.
+from-scratch statistic recomputation, I(T; Y) of an assignment, NMI from
+pair counts, and the KL and JS divergences and merge cost d(x, t) from the
+conditionals. None of these shares code with the package paths it verifies.
 
 The rest are kept copies of code the package replaced (for example
 ``pddp_run_recompute``, ``sib_run_sequential``, ``run_clustering_branches``
@@ -16,6 +16,9 @@ the package's bit for bit.
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +73,21 @@ def best_bipartition_information(joint) -> float:
         assignment = np.array([(mask >> i) & 1 for i in range(n)], dtype=np.int64)
         best = max(best, information_of_assignment(joint, assignment, 2))
     return best
+
+
+def nmi(clusters, labels) -> float:
+    """NMI from the definition, in pure Python: I(C; L) over the geometric
+    mean of H(C) and H(L), from pair counts and ``math.log``; 0 when either
+    side has a single block (or there are no documents)."""
+    n = len(labels)
+    pairs, by_cluster, by_label = Counter(zip(clusters, labels)), Counter(clusters), Counter(labels)
+    mutual = sum(c / n * math.log(n * c / (by_cluster[a] * by_label[b]))
+                 for (a, b), c in pairs.items())
+    h_c = -sum(c / n * math.log(c / n) for c in by_cluster.values())
+    h_l = -sum(c / n * math.log(c / n) for c in by_label.values())
+    if h_c == 0.0 or h_l == 0.0:
+        return 0.0
+    return mutual / math.sqrt(h_c * h_l)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:

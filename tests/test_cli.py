@@ -491,6 +491,11 @@ def test_module_entry_point_subprocess(tmp_path):
                       "--output", str(prefix), "--min-count", "1")
     assert run.returncode == 0
     assert len(run.stdout.split()) == 3
+    # under -m the module is __main__, and its sib_run is still bound on first use
+    run = _run_python("-m", "textpart.cli", "cluster", str(prefix), "--algo", "sib",
+                      "--stop", "fixed", "--k", "2", "--restarts", "1")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(f"wrote {prefix}.report k_found=2")
 
 
 def test_cli_import_leaves_out_sparse_linalg():
@@ -498,6 +503,64 @@ def test_cli_import_leaves_out_sparse_linalg():
     run = _run_python("-c", "import sys, textpart.cli; "
                             "assert 'scipy.sparse.linalg' not in sys.modules")
     assert run.returncode == 0, run.stderr
+
+
+def _scipy_after(statement):
+    """The ``scipy`` modules a fresh interpreter holds after ``statement``."""
+    run = _run_python("-c", f"import json, sys\nfrom textpart import cli\n{statement}\n"
+                            "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_after("") == []
+
+
+def test_eval_loads_no_scipy(tmp_path):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("A\nA\nB\nB\n", encoding="utf-8")
+    argv = ["eval", str(_hand_report(tmp_path)), str(labels)]
+    assert _scipy_after(f"assert cli.main({argv!r}) == 0") == []
+
+
+def test_ingest_loads_no_scipy_special(tmp_path):
+    argv = ["ingest", str(_make_corpus_dir(tmp_path)), "--output", str(tmp_path / "out")]
+    loaded = _scipy_after(f"assert cli.main({argv!r}) == 0")
+    assert "scipy.sparse" in loaded and "scipy.special" not in loaded
+
+
+@pytest.mark.parametrize("algo, stop, special", [
+    ("pddp", "csv", False), ("pddp+sgem", "bic", False), ("sib", "fixed", True),
+    ("pddp+sib", "bic", True),
+])
+def test_cluster_imports_its_scipy_before_the_clock(tmp_path, algo, stop, special):
+    """Each clock read of ``run_clustering`` sees the same scipy modules, so
+    none is imported inside ``time_seconds``; only the sIB paths load
+    scipy.special, before the clock starts."""
+    prefix = tmp_path / "small"
+    write_matrix(multinomial_corpus(0, n_docs=60, vocab_size=30)[0], prefix)
+    argv = ["cluster", str(prefix), "--algo", algo, "--stop", stop, "--restarts", "1",
+            "--maxl", "3"] + (["--k", "2"] if stop == "fixed" else [])
+    loaded = _scipy_after(
+        "import time, types\n"
+        "reads = []\n"
+        "def perf_counter():\n"
+        "    reads.append(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "    return time.perf_counter()\n"
+        "cli.time = types.SimpleNamespace(perf_counter=perf_counter)\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert len(reads) == 2 and reads[0] == reads[1], reads\n"
+        f"assert ('scipy.special' in reads[0]) is {special}, reads[0]")
+    assert ("scipy.special" in loaded) is special
+
+
+def test_cli_binds_sib_run_on_first_use():
+    from textpart import sib
+
+    assert cli.sib_run is sib.sib_run
+    with pytest.raises(AttributeError, match="no attribute 'sib_runner'"):
+        cli.sib_runner
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from textpart.evaluate import nmi
 from textpart.partition import Partition
 
@@ -64,6 +67,27 @@ def test_range_on_random_inputs():
         b = rng.integers(0, int(rng.integers(2, 8)), size=n)
         v = nmi(a, b)
         assert -1e-12 <= v <= 1.0 + 1e-9
+
+
+def test_hand_case_normalises_by_the_geometric_mean():
+    # I = 3 ln(4/3) / 4, H(C) = ln 2, H(L) = (3 ln(4/3) + ln 4) / 4; the
+    # arithmetic mean of the entropies would give about 0.34371
+    clusters, labels = [0, 0, 1, 1], ["a", "a", "a", "b"]
+    mi = 3 * math.log(4 / 3)
+    want = mi / math.sqrt((mi + math.log(4)) * 4 * math.log(2))
+    assert want == pytest.approx(0.34559, abs=5e-6)
+    assert nmi(np.array(clusters), np.array(labels)) == pytest.approx(want, rel=1e-12)
+    assert oracles.nmi(clusters, labels) == pytest.approx(want, rel=1e-12)
+
+
+def test_matches_the_pair_count_oracle_on_random_labelings():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n = int(rng.integers(1, 120))
+        clusters = rng.integers(0, int(rng.integers(1, 8)), size=n)
+        labels = rng.choice(list("abcdefg")[:int(rng.integers(1, 8))], size=n)
+        want = oracles.nmi(clusters.tolist(), labels.tolist())
+        assert nmi(clusters, labels) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_matches_sklearn_geometric_nmi():

@@ -90,6 +90,23 @@ def test_bic_split_test_equal_scores_reject(monkeypatch):
     assert not bic_split_test(*_split_inputs(X, labels == 0))
 
 
+def test_bic_split_test_local_half_rejects_what_the_global_half_accepts():
+    """Six spread points beside a tight cloud of 100: halving the six lowers
+    their own BIC, but the shared variance over all 106 rows falls enough
+    for the global score to rise. The split is refused, and a BIC-stopped
+    PDDP run keeps the six in one leaf."""
+    X = np.concatenate([100 + np.linspace(-0.01, 0.01, 100), np.arange(6.0)])[:, None]
+    other, parent, left, right = (ClusterStats.from_rows(X, np.arange(a, b))
+                                  for a, b in ((0, 100), (100, 106), (100, 103), (103, 106)))
+    children = [left.size, right.size], [left.sse, right.sse]
+    assert bic_from_residuals(*children, 1) < bic_from_residuals([6], [parent.sse], 1)
+    assert (bic_from_residuals([100, *children[0]], [other.sse, *children[1]], 1)
+            > bic_from_residuals([100, 6], [other.sse, parent.sse], 1))
+    assert not bic_split_test([other.size], [other.sse], parent, left, right)
+    labels = pddp_run(X, stop="bic").partition().labels
+    assert labels.tolist() == [1] * 100 + [0] * 6
+
+
 def _random_tree(rng, sparse, floor):
     """Random rows, a random leaf partition, and a bipartition of one leaf.
 

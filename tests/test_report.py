@@ -83,6 +83,54 @@ def test_write_report_refuses_a_doc_id_assigned_twice(tmp_path):
     assert not path.exists()
 
 
+_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _BREAKS, ids=[f"U+{ord(b):04X}" for b in _BREAKS])
+@pytest.mark.parametrize("kind, fields", [
+    ("algorithm", lambda t: {"algorithm": t}),
+    ("param name", lambda t: {"params": [("stop", "fixed"), (t, "2")]}),
+    ("param value", lambda t: {"params": [("stop", t)]}),
+    ("doc id", lambda t: {"assignments": [("a", 0), (t, 1)]}),
+])
+def test_write_report_refuses_a_field_that_holds_a_line_break(tmp_path, brk, kind, fields):
+    rep = replace(_sample_report(), **fields(f"x{brk}y"))
+    path = tmp_path / "broken.report"
+    with pytest.raises(ValueError) as err:
+        write_report(rep, path)
+    assert str(err.value) == f"{kind} {'x' + brk + 'y'!r} holds a line break"
+    assert not path.exists()
+
+
+def test_write_report_refuses_a_param_name_that_holds_a_space(tmp_path):
+    # ("a b", "c") would read back as ("a", "b c")
+    rep = replace(_sample_report(), params=[("stop", "fixed"), ("a b", "c")])
+    path = tmp_path / "spaced.report"
+    with pytest.raises(ValueError) as err:
+        write_report(rep, path)
+    assert str(err.value) == "param name 'a b' holds a space"
+    assert not path.exists()
+
+
+# Any text but a surrogate, which UTF-8 cannot encode.
+_ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(algorithm=_ANY_TEXT, params=st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT), max_size=3),
+       doc_ids=st.lists(_ANY_TEXT, max_size=4, unique=True))
+def test_a_report_is_refused_or_reads_back_as_written(tmp_path, algorithm, params, doc_ids):
+    rep = RunReport(algorithm=algorithm, seed=0, params=params,
+                    assignments=[(doc_id, i) for i, doc_id in enumerate(doc_ids)])
+    try:
+        text = format_report(rep)
+    except ValueError:
+        return
+    path = Path(tempfile.mkdtemp(dir=tmp_path)) / "r.report"
+    path.write_text(text, encoding="utf-8")
+    assert read_report(path) == rep
+
+
 def test_report_without_tree(tmp_path):
     rep = RunReport(
         algorithm="sib", seed=0,

@@ -383,6 +383,27 @@ def test_sib_run_builds_one_state_per_sweep(monkeypatch, restarts):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_sib_run_stops_after_its_first_loop_with_no_change(monkeypatch, restarts):
+    """With ``eps = 0`` a sweep runs whole loops of n draws and stops after
+    the first loop that moves no document, long before ``max_loops``."""
+    joint = random_joint(30, 8, seed=7)
+    moved = []
+    step = SibState.draw_and_merge
+
+    def counted(self, x):
+        moved.append(step(self, x))
+        return moved[-1]
+
+    monkeypatch.setattr(SibState, "draw_and_merge", counted)
+    sib_run(joint, 4, n_restarts=restarts, max_loops=50, eps=0.0, seed=3)
+    loops = np.array(moved).reshape(-1, 30).any(axis=1)  # a loop per row: did it move one?
+    assert loops.size < 50 * restarts
+    # each sweep's loops move a document until its last, which moves none
+    sweep_ends = np.flatnonzero(~loops)
+    assert sweep_ends.size == restarts and sweep_ends[-1] == loops.size - 1
+
+
 @pytest.mark.parametrize("k", [None, 0, 5, 2.0, "2"])
 def test_sib_rejects_k_that_is_not_an_integer_in_range(k):
     with pytest.raises(ValueError, match=r"k must be an integer in \[1, 4\]"):
