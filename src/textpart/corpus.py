@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import row_sq_norms
-from .textio import check_lines, read_utf8
+from .textio import check_lines, first_repeat, read_utf8
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -62,13 +62,11 @@ class EmptyCorpusError(ValueError):
     """Every document was eliminated by pruning or weighting."""
 
 
-def _check_unique(doc_ids: Iterable[str]) -> None:
+def _check_unique(doc_ids: Sequence[str]) -> None:
     """Raise ``ValueError`` at the first doc id that repeats an earlier one."""
-    seen: set[str] = set()
-    for doc_id in doc_ids:
-        if doc_id in seen:
-            raise ValueError(f"doc id {doc_id!r} repeats an earlier document")
-        seen.add(doc_id)
+    repeat = first_repeat(doc_ids)
+    if repeat is not None:
+        raise ValueError(f"doc id {doc_ids[repeat[0]]!r} repeats an earlier document")
 
 
 @dataclass(frozen=True)
@@ -400,11 +398,11 @@ def read_matrix(prefix: str | Path) -> TermDocMatrix:
     if (n_docs, n_terms) != (len(doc_ids), len(vocab)):
         raise ValueError(f"{mat}: header shape {n_docs} x {n_terms} disagrees with "
                          f"{len(doc_ids)} doc ids and {len(vocab)} terms")
-    first_line: dict[str, int] = {}
-    for line, doc_id in enumerate(doc_ids, 1):
-        if first_line.setdefault(doc_id, line) != line:
-            raise ValueError(f"{docs}: doc id {doc_id!r} on line {line} "
-                             f"repeats line {first_line[doc_id]}")
+    repeat = first_repeat(doc_ids)
+    if repeat is not None:
+        at, earlier = repeat
+        raise ValueError(f"{docs}: doc id {doc_ids[at]!r} on line {at + 1} "
+                         f"repeats line {earlier + 1}")
     matrix = _entries_to_csr(rows, cols, vals, (n_docs, n_terms), mat)
     return TermDocMatrix(matrix, tuple(vocab), tuple(doc_ids))
 

@@ -16,20 +16,26 @@ Layout (order is fixed so a report round-trips byte-identically):
 A ``tree`` line's scatter is ``ClusterStats.scatter`` of its node: the
 mean Euclidean distance of the node's rows to their centroid, in the space
 PDDP split (tf-idf rows, or the stored values under ``--weighting none``).
+
+One parser, ``_parse``, reads this layout. ``read_report`` runs it on a
+file's lines, and ``format_report`` runs it on the text it has just built
+and compares what it reads back with the report, so the writer refuses
+exactly the reports the reader would reject or read back as another.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 
-from .textio import check_lines, read_utf8
+from .textio import first_repeat, read_utf8
 
 FORMAT_HEADER = "textpart-report 1"
-_FIELDS = ("algorithm", "seed", "param", "k_found", "time_seconds", "tree", "leaf_members",
-          "assignment", "nmi")
+# The fields of one value each, and how to read it.
+_SCALARS = {"algorithm": str, "seed": int, "time_seconds": float, "nmi": float}
+_FIELDS = {*_SCALARS, "param", "k_found", "tree", "leaf_members", "assignment"}
 
 
 @dataclass
@@ -91,77 +97,41 @@ def _report_lines(report: RunReport) -> Iterator[str]:
         yield f"nmi {report.nmi:.4f}"
 
 
-def _check_doc_ids(report: RunReport, n_lines: int) -> None:
-    """Reject a doc id assigned twice, naming both lines of the report's
-    ``n_lines`` (the assignment lines come last but for ``nmi``)."""
-    first = n_lines - len(report.assignments) - (report.nmi is not None) + 1
-    seen: dict[str, int] = {}
-    for number, (doc_id, _) in enumerate(report.assignments, first):
-        if seen.setdefault(doc_id, number) != number:
-            raise ValueError(f"doc id {doc_id!r} on line {number} repeats line {seen[doc_id]}")
+def _parse(lines: list[str]) -> RunReport:
+    """The report whose text has ``lines``; ``ValueError`` names the line at
+    fault.
 
-
-def _check_text(report: RunReport) -> None:
-    """Reject a text field that would not read back as written: one that
-    holds a line break (``str.splitlines``), or a ``param`` name that holds
-    a space, since the first space ends the name."""
-    names = [name for name, _ in report.params]
-    check_lines("algorithm", [report.algorithm])
-    check_lines("param name", names)
-    check_lines("param value", [value for _, value in report.params])
-    check_lines("doc id", [doc_id for doc_id, _ in report.assignments])
-    spaced = next((name for name in names if " " in name), None)
-    if spaced is not None:
-        raise ValueError(f"param name {spaced!r} holds a space")
-
-
-def format_report(report: RunReport) -> str:
-    """The report's text; ``ValueError`` names a text field that would not
-    read back as written, or a doc id assigned twice, as ``read_report``
-    would."""
-    _check_text(report)
-    text = "\n".join(_report_lines(report)) + "\n"
-    _check_doc_ids(report, text.count("\n"))
-    return text
-
-
-def write_report(report: RunReport, path: str | Path) -> None:
-    Path(path).write_text(format_report(report), encoding="utf-8")
-
-
-def read_report(path: str | Path) -> RunReport:
-    """Parse a report; ``ValueError`` names the file and the line at fault.
-
-    Besides an unknown field or a malformed value, the file is rejected
-    unless ``format_report`` of what it parses to gives back its lines
-    (compared one at a time, so no second copy of the report is held), so
-    a report missing a line, repeating one or holding a line no field keeps
-    (such as ``leaf_members`` of a node with no ``tree`` line) cannot be
-    read and written back changed. That comparison also rejects a
-    ``k_found`` line that is not the number of distinct clusters in the
-    assignment lines. A doc id assigned on two lines is rejected too,
-    naming both lines, as ``format_report`` refuses to write one.
+    Besides an unknown field or a malformed value, the lines are rejected
+    unless ``_report_lines`` of what they parse to gives them back (compared
+    one at a time, so no second copy of the report is held), so a report
+    missing a line, repeating one or holding a line no field keeps (such as
+    ``leaf_members`` of a node with no ``tree`` line) cannot be read and
+    written back changed. That comparison also rejects a ``k_found`` line
+    that is not the number of distinct clusters in the assignment lines. A
+    doc id assigned on two lines is rejected too, naming both lines.
+    ``lines`` is emptied before the doc-id table is built, so the table adds
+    nothing to the peak.
     """
-    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
-        raise ValueError(f"{path}: not a textpart report")
+        raise ValueError("not a textpart report")
     report = RunReport(algorithm="", seed=0)
     tree: list[TreeRecord] = []
     leaf_members: dict[int, list[int]] = {}
-    for number, line in enumerate(lines[1:], 2):
+    first = 0  # the number of the first assignment line
+    for number, line in enumerate(islice(lines, 1, None), 2):
         key, _, rest = line.partition(" ")
         if key not in _FIELDS:
-            raise ValueError(f"{path}: unknown report field {key!r}")
+            raise ValueError(f"unknown report field {key!r} on line {number}")
         try:
-            if key == "algorithm":
-                report.algorithm = rest
-            elif key == "seed":
-                report.seed = int(rest)
+            if key == "assignment":
+                doc_id, _, cluster = rest.rpartition(" ")
+                report.assignments.append((doc_id, int(cluster)))
+                first = first or number
+            elif key in _SCALARS:
+                setattr(report, key, _SCALARS[key](rest))
             elif key == "param":
                 name, _, value = rest.partition(" ")
                 report.params.append((name, value))
-            elif key == "time_seconds":
-                report.time_seconds = float(rest)
             elif key == "tree":
                 nid, parent, depth, n_members, scatter = rest.split()
                 tree.append(TreeRecord(
@@ -171,31 +141,55 @@ def read_report(path: str | Path) -> RunReport:
             elif key == "leaf_members":
                 vals = [int(v) for v in rest.split()]
                 leaf_members[vals[0]] = vals[1:]
-            elif key == "assignment":
-                doc_id, _, cluster = rest.rpartition(" ")
-                report.assignments.append((doc_id, int(cluster)))
-            elif key == "nmi":
-                report.nmi = float(rest)
         except (ValueError, IndexError):
-            raise ValueError(f"{path}: malformed {key} on line {number}: {line!r}") from None
+            raise ValueError(f"malformed {key} on line {number}: {line!r}") from None
     if tree:
         for rec in tree:
-            if rec.node_id in leaf_members:
-                rec.leaf_members = leaf_members[rec.node_id]
+            rec.leaf_members = leaf_members.get(rec.node_id)
         report.tree = tree
     for number, (line, want) in enumerate(zip_longest(lines, _report_lines(report)), 1):
         if line != want:
-            raise ValueError(f"{path}: not as textpart writes it: line {number} is {_shown(line)}, "
+            raise ValueError(f"not as textpart writes it: line {number} is {_shown(line)}, "
                              f"expected {_shown(want)}")
-    # Released first, the lines make room for the doc-id table, so it adds
-    # nothing to the peak.
-    n_lines = len(lines)
-    del lines
+    lines.clear()
+    repeat = first_repeat(doc_id for doc_id, _ in report.assignments)
+    if repeat is not None:
+        at, earlier = repeat
+        raise ValueError(f"doc id {report.assignments[at][0]!r} on line {first + at} "
+                         f"repeats line {first + earlier}")
+    return report
+
+
+def format_report(report: RunReport) -> str:
+    """The report's text; ``ValueError`` if ``read_report`` would reject it,
+    with the same message less the file name, or read it back as another
+    report, naming the first ``algorithm``, ``param`` or ``assignment`` that
+    would change."""
+    text = "\n".join(_report_lines(report)) + "\n"
+    back = _parse(text.splitlines())
+    for kind, wanted, got in (("algorithm", [report.algorithm], [back.algorithm]),
+                              ("param", report.params, back.params),
+                              ("assignment", report.assignments, back.assignments)):
+        changed = next(((w, g) for w, g in zip_longest(wanted, got) if w != g), None)
+        if changed is not None:
+            raise ValueError(f"{kind} {changed[0]!r} reads back as {changed[1]!r}")
+    return text
+
+
+def write_report(report: RunReport, path: str | Path) -> None:
+    """Write ``format_report`` of the report, encoded before the file is
+    opened, so a refused report (a surrogate too) leaves no file."""
+    Path(path).write_bytes(format_report(report).encode("utf-8"))
+
+
+def read_report(path: str | Path) -> RunReport:
+    """Parse a report; ``ValueError`` names the file and the line at fault
+    (see ``_parse``)."""
+    lines = read_utf8(path).splitlines()
     try:
-        _check_doc_ids(report, n_lines)
+        return _parse(lines)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    return report
 
 
 def _shown(line: str | None) -> str:

@@ -149,7 +149,11 @@ class SibState:
 
 
 def random_assignment(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random assignment with empty clusters repaired from the largest."""
+    """Uniform random assignment with empty clusters repaired from the largest.
+
+    Each empty cluster, lowest index first, takes the lowest-index member of
+    the largest cluster (the lowest-index cluster among equals).
+    """
     assignment = rng.integers(0, k, size=n)
     counts = np.bincount(assignment, minlength=k)
     while np.any(counts == 0):

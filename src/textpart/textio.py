@@ -1,6 +1,6 @@
 """UTF-8 text input shared by the corpus readers, the report reader and
-``textpart eval``, and the check that a value written as one line of such
-a file holds no line break.
+``textpart eval``, the check that a value written as one line of such a
+file holds no line break, and the search for a repeated doc id.
 
 It imports only the standard library, so reading a report and its labels
 needs neither numpy nor scipy.
@@ -8,7 +8,7 @@ needs neither numpy nor scipy.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from pathlib import Path
 
 
@@ -42,3 +42,13 @@ def check_lines(kind: str, values: Sequence[str]) -> None:
     if len(("".join(values) + "x").splitlines()) > 1:
         bad = next(v for v in values if len((v + "x").splitlines()) > 1)
         raise ValueError(f"{kind} {bad!r} holds a line break")
+
+
+def first_repeat(values: Iterable[Hashable]) -> tuple[int, int] | None:
+    """The position of the first value that repeats an earlier one and the
+    position of that earlier one, or ``None`` if the values are distinct."""
+    first: dict[Hashable, int] = {}
+    for at, value in enumerate(values):
+        if first.setdefault(value, at) != at:
+            return at, first[value]
+    return None

@@ -4,12 +4,17 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from datagen import five_clusters, multinomial_corpus, random_joint, two_gaussians
 from oracles import best_bipartition_information, top_eigvec_dense
+import textpart
 from textpart import (
     nmi,
     param_count,
@@ -189,7 +194,8 @@ def test_c09_quality_ordering_on_topic_corpus():
              f"pddp={med['pddp']:.3f}, {elapsed:.1f}s")
 
 
-def test_c10_cli_determinism(tmp_path):
+def _c10_corpus(tmp_path):
+    """C10's 60-document corpus, ingested; returns the matrix prefix."""
     rng = np.random.default_rng(0)
     pools = (["kernel", "driver", "memory", "thread", "stack"],
              ["pitch", "goal", "league", "coach", "match"],
@@ -199,18 +205,45 @@ def test_c10_cli_determinism(tmp_path):
     src.write_text("\n".join(lines), encoding="utf-8")
     prefix = tmp_path / "m"
     assert main(["ingest", str(src), "--output", str(prefix)]) == 0
+    return prefix
 
-    def assignment_bytes(path):
-        return b"\n".join(
-            ln.encode() for ln in path.read_text().splitlines() if ln.startswith("assignment ")
-        )
 
+C10_ALGOS = ("pddp", "pddp+sgem", "sib", "pddp+sib")
+
+
+def _c10_cluster_argv(prefix, algo, output):
+    return ["cluster", str(prefix), "--algo", algo, "--stop", "fixed", "--k", "3",
+            "--seed", "5", "--restarts", "3", "--maxl", "10", "--output", str(output)]
+
+
+def _assignment_bytes(path):
+    return b"\n".join(
+        ln.encode() for ln in path.read_text().splitlines() if ln.startswith("assignment ")
+    )
+
+
+def test_c10_cli_determinism(tmp_path):
+    prefix = _c10_corpus(tmp_path)
     identical = True
-    for algo in ("pddp", "pddp+sgem", "sib", "pddp+sib"):
+    for algo in C10_ALGOS:
         a, b = tmp_path / f"{algo}-a.report", tmp_path / f"{algo}-b.report"
-        argv = ["cluster", str(prefix), "--algo", algo, "--stop", "fixed", "--k", "3",
-                "--seed", "5", "--restarts", "3", "--maxl", "10"]
-        assert main(argv + ["--output", str(a)]) == 0
-        assert main(argv + ["--output", str(b)]) == 0
-        identical = identical and assignment_bytes(a) == assignment_bytes(b)
+        assert main(_c10_cluster_argv(prefix, algo, a)) == 0
+        assert main(_c10_cluster_argv(prefix, algo, b)) == 0
+        identical = identical and _assignment_bytes(a) == _assignment_bytes(b)
     _verdict("C10 cli-determinism", identical)
+
+
+def test_c10_assignments_hold_under_another_blas_kernel(tmp_path):
+    # OpenBLAS reads both variables when it loads, so they need a fresh process.
+    prefix = _c10_corpus(tmp_path)
+    src = str(Path(textpart.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for algo in C10_ALGOS:
+        here, there = tmp_path / f"{algo}-here.report", tmp_path / f"{algo}-there.report"
+        assert main(_c10_cluster_argv(prefix, algo, here)) == 0
+        run = subprocess.run([sys.executable, "-m", "textpart.cli",
+                              *_c10_cluster_argv(prefix, algo, there)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert _assignment_bytes(there) == _assignment_bytes(here), algo

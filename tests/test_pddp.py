@@ -20,6 +20,14 @@ def test_split_cluster_one_dimensional_projection_signs():
     assert u == pytest.approx([1.0])
 
 
+def test_split_cluster_sends_a_zero_projection_left():
+    # the middle row is the centroid, so its projection is exactly 0
+    X = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    left, right, _ = split_cluster(ClusterStats.from_rows(X, np.arange(3)), X, seed=0)
+    assert left.tolist() == [0, 1]
+    assert right.tolist() == [2]
+
+
 def test_split_cluster_two_points():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     left, right, _ = split_cluster(ClusterStats.from_rows(X, np.array([0, 1])), X, seed=0)

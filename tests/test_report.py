@@ -2,6 +2,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,12 @@ def test_k_found_follows_the_assignments_and_cannot_be_set():
         RunReport(algorithm="sib", seed=0, k_found=3)
 
 
+def test_format_report_takes_params_and_assignments_as_tuples():
+    rep = _sample_report()
+    text = format_report(replace(rep, params=tuple(rep.params), assignments=tuple(rep.assignments)))
+    assert text == format_report(rep)
+
+
 def test_write_report_refuses_a_doc_id_assigned_twice(tmp_path):
     rep = RunReport(algorithm="sib", seed=0, params=[("stop", "fixed"), ("k", "2")],
                     assignments=[("a", 0), ("b", 1), ("b", 1)])
@@ -84,6 +91,14 @@ def test_write_report_refuses_a_doc_id_assigned_twice(tmp_path):
 
 
 _BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+# The break ends the field's line early, and the reader's parse refuses the
+# line that follows it or the line cut short.
+_BROKEN = {
+    "algorithm": "unknown report field 'y' on line 3",
+    "param name": "unknown report field 'y' on line 6",
+    "param value": "unknown report field 'y' on line 5",
+    "doc id": "malformed assignment on line 15: 'assignment x'",
+}
 
 
 @pytest.mark.parametrize("brk", _BREAKS, ids=[f"U+{ord(b):04X}" for b in _BREAKS])
@@ -98,7 +113,7 @@ def test_write_report_refuses_a_field_that_holds_a_line_break(tmp_path, brk, kin
     path = tmp_path / "broken.report"
     with pytest.raises(ValueError) as err:
         write_report(rep, path)
-    assert str(err.value) == f"{kind} {'x' + brk + 'y'!r} holds a line break"
+    assert str(err.value) == _BROKEN[kind]
     assert not path.exists()
 
 
@@ -108,7 +123,31 @@ def test_write_report_refuses_a_param_name_that_holds_a_space(tmp_path):
     path = tmp_path / "spaced.report"
     with pytest.raises(ValueError) as err:
         write_report(rep, path)
-    assert str(err.value) == "param name 'a b' holds a space"
+    assert str(err.value) == "param ('a b', 'c') reads back as ('a', 'b c')"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"time_seconds": np.float64(0.5)},
+     "malformed time_seconds on line 8: 'time_seconds np.float64(0.5)'"),
+    ({"tree": [TreeRecord(0, None, 0, 6, np.float64(0.25))]},
+     "malformed tree on line 9: 'tree 0 - 0 6 np.float64(0.25)'"),
+    ({"seed": True}, "malformed seed on line 3: 'seed True'"),
+    ({"time_seconds": 1}, "not as textpart writes it: line 8 is 'time_seconds 1', "
+                          "expected 'time_seconds 1.0'"),
+    ({"algorithm": "x\r"}, "algorithm 'x\\r' reads back as 'x'"),
+    ({"assignments": [("a 1\nassignment b", 1)]},
+     "assignment ('a 1\\nassignment b', 1) reads back as ('a', 1)"),
+    # encoded before the file is opened
+    ({"algorithm": "x\ud800"},
+     "'utf-8' codec can't encode character '\\ud800' in position 29: surrogates not allowed"),
+], ids=["numpy-time", "numpy-scatter", "bool-seed", "int-time", "cr-algorithm", "doc-id-line",
+        "surrogate"])
+def test_write_report_refuses_a_value_that_would_not_read_back(tmp_path, fields, message):
+    path = tmp_path / "odd.report"
+    with pytest.raises(ValueError) as err:
+        write_report(replace(_sample_report(), **fields), path)
+    assert str(err.value) == message
     assert not path.exists()
 
 
@@ -116,12 +155,33 @@ def test_write_report_refuses_a_param_name_that_holds_a_space(tmp_path):
 _ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 
 
+# Python and numpy ints, floats and bools, as a library caller may pass them.
+_INTS = st.integers(-10 ** 6, 10 ** 6)
+_REALS = st.floats(allow_nan=False)
+_ANY_NUMBER = st.one_of(_INTS, _INTS.map(np.int64), _REALS, _REALS.map(np.float64),
+                        st.booleans(), st.booleans().map(np.bool_))
+
+
+def _mostly(kind):
+    """``kind`` in seven draws of eight, else any number, so that some of
+    the drawn reports are written."""
+    return st.integers(0, 7).flatmap(lambda i: _ANY_NUMBER if i == 0 else kind)
+
+
+_INT_FIELD = _mostly(_INTS | _INTS.map(np.int64))
+_TREE_RECORDS = st.builds(TreeRecord, _INT_FIELD, st.none() | _INT_FIELD, _INT_FIELD, _INT_FIELD,
+                          _mostly(_REALS), st.none() | st.lists(_INT_FIELD, max_size=3))
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(algorithm=_ANY_TEXT, params=st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT), max_size=3),
-       doc_ids=st.lists(_ANY_TEXT, max_size=4, unique=True))
-def test_a_report_is_refused_or_reads_back_as_written(tmp_path, algorithm, params, doc_ids):
-    rep = RunReport(algorithm=algorithm, seed=0, params=params,
-                    assignments=[(doc_id, i) for i, doc_id in enumerate(doc_ids)])
+       doc_ids=st.lists(_ANY_TEXT, max_size=4, unique=True), seed=_INT_FIELD,
+       # an empty tree list writes no line, so it would read back as None
+       time_seconds=_mostly(_REALS), tree=st.none() | st.lists(_TREE_RECORDS, min_size=1, max_size=3))
+def test_a_report_is_refused_or_reads_back_as_written(tmp_path, algorithm, params, doc_ids, seed,
+                                                      time_seconds, tree):
+    rep = RunReport(algorithm=algorithm, seed=seed, params=params, time_seconds=time_seconds,
+                    tree=tree, assignments=[(doc_id, i) for i, doc_id in enumerate(doc_ids)])
     try:
         text = format_report(rep)
     except ValueError:

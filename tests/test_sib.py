@@ -165,6 +165,14 @@ def test_sib_k_larger_than_n_rejected():
         sib_run(joint, 5)
 
 
+def test_random_assignment_moves_the_donors_first_member():
+    class Draws:  # a generator stub: the uniform draw leaves cluster 2 empty
+        def integers(self, low, high, size):
+            return np.array([0, 0, 1, 1, 0])
+
+    assert random_assignment(5, 3, Draws()).tolist() == [2, 0, 1, 1, 0]
+
+
 def test_sib_deterministic_per_seed():
     joint = random_joint(30, 8, seed=7)
     a = sib_run(joint, 4, n_restarts=3, seed=11)
