@@ -11,32 +11,24 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each public name and the module that defines it.
+# Each public name and the module that defines it: the pipeline's stages, the
+# types they take or return, and the errors they let out. Step-level functions
+# (the split test, leaf selection, the eigen-solve, ...) are imported from
+# their modules.
 _MODULE_OF = {
     "ClusterStats": "linalg",
     "ClusterTree": "pddp",
     "ConvergenceError": "linalg",
-    "DegenerateClusterError": "linalg",
     "EmptyCorpusError": "corpus",
     "JointDistribution": "corpus",
     "Partition": "partition",
     "SGemModel": "sgem",
-    "SibState": "sib",
     "TermDocMatrix": "corpus",
-    "bic_score": "model_select",
-    "bic_split_test": "model_select",
     "build_matrix": "corpus",
-    "centroid": "linalg",
-    "csv": "model_select",
-    "csv_stop": "model_select",
     "nmi": "evaluate",
-    "param_count": "model_select",
     "pddp_run": "pddp",
-    "principal_direction": "linalg",
-    "select_leaf": "pddp",
     "sgem_run": "sgem",
     "sib_run": "sib",
-    "split_cluster": "pddp",
     "tfidf_weight": "corpus",
     "tokenize": "corpus",
     "word_conditionals": "corpus",

@@ -163,12 +163,13 @@ def _parse(lines: list[str]) -> RunReport:
 def format_report(report: RunReport) -> str:
     """The report's text; ``ValueError`` if ``read_report`` would reject it,
     with the same message less the file name, or read it back as another
-    report, naming the first ``algorithm``, ``param`` or ``assignment`` that
-    would change."""
+    report, naming the first ``algorithm``, ``param``, ``tree`` or
+    ``assignment`` that would change."""
     text = "\n".join(_report_lines(report)) + "\n"
     back = _parse(text.splitlines())
     for kind, wanted, got in (("algorithm", [report.algorithm], [back.algorithm]),
                               ("param", report.params, back.params),
+                              ("tree", [report.tree], [back.tree]),
                               ("assignment", report.assignments, back.assignments)):
         changed = next(((w, g) for w, g in zip_longest(wanted, got) if w != g), None)
         if changed is not None:

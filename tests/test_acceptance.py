@@ -15,17 +15,10 @@ import numpy as np
 from datagen import five_clusters, multinomial_corpus, random_joint, two_gaussians
 from oracles import best_bipartition_information, top_eigvec_dense
 import textpart
-from textpart import (
-    nmi,
-    param_count,
-    pddp_run,
-    principal_direction,
-    sgem_run,
-    sib_run,
-    tfidf_weight,
-    word_conditionals,
-)
+from textpart import nmi, pddp_run, sgem_run, sib_run, tfidf_weight, word_conditionals
 from textpart.cli import main
+from textpart.linalg import principal_direction
+from textpart.model_select import param_count
 from textpart.sib import SibState, random_assignment
 
 

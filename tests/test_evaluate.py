@@ -32,6 +32,10 @@ def test_single_category_convention():
     assert nmi(np.array([0, 1, 0, 1]), labels) == 0.0
 
 
+def test_no_documents_score_zero():
+    assert nmi(np.array([], dtype=int), np.array([], dtype=int)) == 0.0
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         nmi(np.array([0, 1]), np.array(["a"]))

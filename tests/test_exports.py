@@ -88,3 +88,22 @@ def test_readme_library_entry_points_run_verbatim():
     section = README.read_text(encoding="utf-8").split("## Library entry points", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(block, str(README), "exec"), {})
+
+
+# Step-level names that only the package's own stages call: each stays in its
+# module, and the package does not list it.
+STEP_NAMES = {
+    "bic_score": "model_select", "bic_split_test": "model_select", "csv": "model_select",
+    "csv_stop": "model_select", "param_count": "model_select", "select_leaf": "pddp",
+    "split_cluster": "pddp", "centroid": "linalg", "principal_direction": "linalg",
+    "DegenerateClusterError": "linalg", "SibState": "sib",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_NAMES))
+def test_a_step_is_imported_from_its_module_not_the_package(name):
+    module = importlib.import_module(f"textpart.{STEP_NAMES[name]}")
+    assert getattr(module, name).__module__ == module.__name__
+    assert name not in textpart.__all__
+    with pytest.raises(ImportError):
+        exec(f"from textpart import {name}", {})

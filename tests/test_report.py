@@ -136,13 +136,15 @@ def test_write_report_refuses_a_param_name_that_holds_a_space(tmp_path):
     ({"time_seconds": 1}, "not as textpart writes it: line 8 is 'time_seconds 1', "
                           "expected 'time_seconds 1.0'"),
     ({"algorithm": "x\r"}, "algorithm 'x\\r' reads back as 'x'"),
+    # an empty tree list writes no tree line
+    ({"tree": []}, "tree [] reads back as None"),
     ({"assignments": [("a 1\nassignment b", 1)]},
      "assignment ('a 1\\nassignment b', 1) reads back as ('a', 1)"),
     # encoded before the file is opened
     ({"algorithm": "x\ud800"},
      "'utf-8' codec can't encode character '\\ud800' in position 29: surrogates not allowed"),
-], ids=["numpy-time", "numpy-scatter", "bool-seed", "int-time", "cr-algorithm", "doc-id-line",
-        "surrogate"])
+], ids=["numpy-time", "numpy-scatter", "bool-seed", "int-time", "cr-algorithm", "empty-tree",
+        "doc-id-line", "surrogate"])
 def test_write_report_refuses_a_value_that_would_not_read_back(tmp_path, fields, message):
     path = tmp_path / "odd.report"
     with pytest.raises(ValueError) as err:
@@ -176,8 +178,7 @@ _TREE_RECORDS = st.builds(TreeRecord, _INT_FIELD, st.none() | _INT_FIELD, _INT_F
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(algorithm=_ANY_TEXT, params=st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT), max_size=3),
        doc_ids=st.lists(_ANY_TEXT, max_size=4, unique=True), seed=_INT_FIELD,
-       # an empty tree list writes no line, so it would read back as None
-       time_seconds=_mostly(_REALS), tree=st.none() | st.lists(_TREE_RECORDS, min_size=1, max_size=3))
+       time_seconds=_mostly(_REALS), tree=st.none() | st.lists(_TREE_RECORDS, max_size=3))
 def test_a_report_is_refused_or_reads_back_as_written(tmp_path, algorithm, params, doc_ids, seed,
                                                       time_seconds, tree):
     rep = RunReport(algorithm=algorithm, seed=seed, params=params, time_seconds=time_seconds,

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from datagen import five_clusters, multinomial_corpus, two_gaussians
 from oracles import sgem_run_recompute
 from textpart import linalg, nmi, pddp_run, sgem, tfidf_weight
-from textpart.linalg import cluster_sums, row_sq_norms
+from textpart.linalg import cluster_sums, row_sq_norms, sq_distances
 from textpart.partition import Partition
 from textpart.sgem import (
     SIGMA2_FLOOR,
@@ -137,6 +137,15 @@ def test_cll_unit_prior_contributes_zero():
     value = complete_log_likelihood(model, z, sums=cluster_sums(X, z.labels, z.k)[0],
                                     sq_norms=row_sq_norms(X))
     assert value == pytest.approx(-0.5 * math.log(2 * math.pi))
+
+
+@pytest.mark.filterwarnings("error")
+def test_cll_is_minus_inf_for_a_document_in_a_zero_prior_component():
+    model = SGemModel([0.0, 1.0], [[0.0], [1.0]], 1.0)
+    X, z = np.array([[0.0], [1.0]]), Partition(np.array([0, 1]), 2)
+    value = complete_log_likelihood(model, z, sums=cluster_sums(X, z.labels, z.k)[0],
+                                    sq_norms=row_sq_norms(X))
+    assert value == -math.inf
 
 
 def test_cll_finite_at_sigma_floor():
@@ -285,3 +294,53 @@ def test_sgem_run_rejects_non_finite_or_negative_delta(delta):
     X, labels = two_gaussians(0, n=40)
     with pytest.raises(ValueError, match="delta must be finite and >= 0"):
         sgem_run(Partition(labels, 2), X, delta=delta)
+
+
+@pytest.mark.parametrize("delta, iterations", [(0.0, 4), (None, 4), (1.0, 4), (100.0, 3)])
+def test_sgem_run_stops_when_the_gain_falls_below_delta(delta, iterations):
+    # gains 537.3, 28.36 and 0.048: the fourth iteration reaches a fixed point
+    # unless delta = 100 stops the run at the 28.36 gain of the third
+    X = five_clusters(1)[0]
+    init = Partition(np.random.default_rng(0).integers(0, 5, X.shape[0]), 5)
+    final, _, trace = sgem_run(init, X, delta=delta)
+    assert len(trace) == iterations
+    assert np.array_equal(final.labels, sgem_run(init, X, delta=0.0)[0].labels)
+
+
+def _q_is_farthest(p, q):
+    """Whether the repair sees ``q`` farther from its own centroid than ``p``
+    in rows ``[p, p, q]``, labels ``[0, 0, 1]``; all three own distances are
+    0 in exact arithmetic."""
+    rows = np.vstack([p, p, q])
+    d2 = sq_distances(rows, np.vstack([p, q, np.zeros_like(p)]), sq_norms=row_sq_norms(rows))
+    return d2[2, 1] > d2[0, 0]
+
+
+def test_repair_never_takes_a_clusters_only_member(monkeypatch):
+    # q, alone in its cluster, keeps a rounding residue as its own distance
+    # (the einsum of the centroid norms against the BLAS product) above p's,
+    # so q is the farthest document. Taking it would empty cluster 1, and the
+    # repair would move q from one empty cluster to the next. About 15% of
+    # random rows keep a residue; the first candidate does on OpenBLAS.
+    p = np.array([1.0, 2.0, 0.0, 3.0])
+    candidates = np.vstack([[0.6923106688875231, -0.6979346744286996, 2.9832596147352657,
+                             2.8850120326573805],
+                            np.random.default_rng(0).uniform(-1.0, 3.0, size=(200, 4))])
+    q = next((q for q in candidates if _q_is_farthest(p, q)), None)
+    assert q is not None, "no candidate row keeps a residue above p's"
+    X = np.vstack([p, p, q])
+    labels = np.array([0, 0, 1])
+    sums, counts = cluster_sums(X, labels, 3)
+    moves = []
+
+    def bounded_sums(matrix, moved, k):
+        # one call per move; a repair that keeps emptying a cluster is stopped
+        moves.append(moved.tolist())
+        if len(moves) > 5:
+            pytest.fail(f"the repair keeps emptying a cluster: {moves}")
+        return cluster_sums(matrix, moved, k)
+
+    monkeypatch.setattr(sgem, "cluster_sums", bounded_sums)
+    repaired, _, _ = sgem._repair_empty_clusters(labels, sums, counts, X, row_sq_norms(X))
+    assert repaired.tolist() == [2, 0, 1]
+    assert moves == [[2, 0, 1]]
