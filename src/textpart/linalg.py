@@ -12,6 +12,12 @@ Cluster statistics have one source each: ``ClusterStats.from_rows`` gives
 one row set's members, centroid, scatter, residual and largest squared row
 norm, and ``cluster_sums`` gives the row sums and sizes of every cluster of
 a partition at once.
+
+A centroid is computed one way: a row sum over the row count. ``centroid``
+sums CSR rows in the order ``cluster_sums`` does, so on CSR rows (every
+matrix the CLI clusters) a PDDP leaf's centroid and the one sGEM's M-step
+fits to that leaf's members, ``cluster_sums`` row over count, are equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -66,18 +72,20 @@ def row_sq_norms(rows) -> np.ndarray:
 
 
 def centroid(rows) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of a nonempty row set."""
-    import scipy.sparse as sp
+    """Coordinate-wise arithmetic mean of a nonempty row set: the row sum
+    over the row count, the rule of sGEM's M-step.
 
+    For CSR rows scipy's ``sum(axis=0)`` is ``ones @ rows``, which adds each
+    column's stored values in row order from 0.0, as ``cluster_sums`` does,
+    so the centroid has the bits of ``cluster_sums(rows, zeros, 1)[0][0] / n``.
+    Dense rows are summed by numpy, which adds a C-ordered array of two or
+    more columns row by row too; it sums a single column, or a
+    Fortran-ordered array, pairwise. Integer rows are summed as integers,
+    then divided.
+    """
     if rows.shape[0] == 0:
         raise ValueError("centroid of an empty cluster")
-    if sp.issparse(rows):
-        # scipy's mean(axis=0) sums its rows times 1/n the same way, but on a
-        # copy of the index arrays too
-        rows = sp.csr_array(rows)
-        scaled = sp.csr_array((rows.data * (1.0 / rows.shape[0]), rows.indices, rows.indptr), rows.shape)
-        return np.asarray(scaled.sum(axis=0)).ravel()
-    return np.asarray(rows, dtype=float).mean(axis=0)
+    return np.asarray(rows.sum(axis=0), dtype=float).ravel() / rows.shape[0]
 
 
 def sq_distances(rows, centers: np.ndarray, *, sq_norms: np.ndarray) -> np.ndarray:
@@ -145,7 +153,9 @@ class ClusterStats:
     check that the rows do not all coincide. A PDDP split
     (``split_cluster``, then ``principal_direction``) reads every input it
     needs from the stats of the cluster it bisects, so they always describe
-    one row set.
+    one row set. ``centroid`` is ``linalg.centroid`` of the member rows,
+    their sum over their count; for CSR rows it has the bits of the
+    centroid sGEM's ``m_step`` fits to the same members.
     """
 
     members: np.ndarray

@@ -129,7 +129,7 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
         raise ValueError("pddp_run needs at least 2 documents")
     if stop not in STOP_RULES:
         raise ValueError(f"unknown stopping rule {stop!r}")
-    if stop == "fixed" and (not isinstance(k, (int, np.integer)) or not 1 <= k <= n):
+    if stop == "fixed" and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n):
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     rng = np.random.default_rng(seed)
 

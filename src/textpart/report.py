@@ -16,6 +16,9 @@ Layout (order is fixed so a report round-trips byte-identically):
 A ``tree`` line's scatter is ``ClusterStats.scatter`` of its node: the
 mean Euclidean distance of the node's rows to their centroid, in the space
 PDDP split (tf-idf rows, or the stored values under ``--weighting none``).
+That centroid is the rows' sum over their count, with the bits of the
+centroid sGEM's M-step fits to the same rows (see ``linalg``). A leaf's
+``leaf_members`` must be a list; any other kind is refused, naming the node.
 
 One parser, ``_parse``, reads this layout. ``read_report`` runs it on a
 file's lines, and ``format_report`` runs it on the text it has just built
@@ -90,6 +93,8 @@ def _report_lines(report: RunReport) -> Iterator[str]:
             yield f"tree {rec.node_id} {parent} {rec.depth} {rec.n_members} {rec.scatter!r}"
         for rec in report.tree:
             if rec.leaf_members is not None:
+                if not isinstance(rec.leaf_members, list):
+                    raise ValueError(f"leaf_members of tree node {rec.node_id} is not a list")
                 yield "leaf_members " + " ".join(str(i) for i in [rec.node_id] + rec.leaf_members)
     for doc_id, cluster in report.assignments:
         yield f"assignment {doc_id} {cluster}"

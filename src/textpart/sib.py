@@ -216,7 +216,7 @@ def sib_run(
     ``np.bincount(part.labels, weights=joint.px, minlength=part.k)``.
     """
     n = joint.n_docs
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")

@@ -837,6 +837,12 @@ def test_run_clustering_sib_fixed_without_k_is_a_value_error():
         run_clustering(_pipeline_corpus(0), "sib", "fixed", k=None)
 
 
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_clustering_rejects_a_bool_k(algo):
+    with pytest.raises(ValueError, match=r"^k must be an integer in \[1, \d+\], got True$"):
+        run_clustering(_pipeline_corpus(0), algo, "fixed", k=True)
+
+
 def test_run_clustering_pddp_sib_rejects_zero_restarts():
     with pytest.raises(ValueError, match="n_restarts"):
         run_clustering(_pipeline_corpus(0), "pddp+sib", "fixed", k=3, restarts=0)

@@ -142,8 +142,18 @@ def test_row_sq_norms_and_centroid_match_scipy_bitwise(M):
     norms = linalg.row_sq_norms(M)
     expected = row_sq_norms_multiply(M)
     assert norms.dtype == expected.dtype and norms.tobytes() == expected.tobytes()
-    mean = np.asarray(M.mean(axis=0)).ravel()
+    # the centroid is sGEM's: the cluster sum of the rows over their count
+    n = M.shape[0]
+    mean = cluster_sums(M, np.zeros(n, dtype=np.int64), 1)[0][0] / n
     assert centroid(M).tobytes() == mean.tobytes()
+    dense = M.toarray()
+    if dense.shape[1] > 1:  # numpy sums a single column pairwise
+        dense_mean = cluster_sums(dense, np.zeros(n, dtype=np.int64), 1)[0][0] / n
+        assert centroid(dense).tobytes() == dense_mean.tobytes()
+    counts = sp.csr_array((np.round(np.clip(M.data, -1e6, 1e6)).astype(np.int64), M.indices, M.indptr),
+                          shape=M.shape)
+    for ints in (counts, counts.toarray()):
+        assert centroid(ints).tobytes() == centroid(ints.astype(float)).tobytes()
 
 
 def _peak_bytes(f, *args) -> int:

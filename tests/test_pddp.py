@@ -114,10 +114,10 @@ def test_pddp_needs_two_documents():
         pddp_run(np.array([[1.0, 2.0]]), stop="fixed", k=1)
 
 
-@pytest.mark.parametrize("k", [None, 0, 51, 2.0])
+@pytest.mark.parametrize("k", [None, 0, 51, 2.0, True])  # bool is an int subclass
 def test_pddp_fixed_rejects_k_that_is_not_an_integer_in_range(k):
     X, _ = two_gaussians(2, n=50)
-    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 50\]"):
+    with pytest.raises(ValueError, match=rf"^k must be an integer in \[1, 50\], got {k!r}$"):
         pddp_run(X, stop="fixed", k=k, seed=0)
 
 

@@ -50,6 +50,17 @@ def test_report_round_trip_preserves_fields(tmp_path):
     assert back.tree[0].leaf_members is None
 
 
+@pytest.mark.parametrize("members", [np.array([0, 1]), (0, 1)], ids=["ndarray", "tuple"])
+def test_format_report_refuses_leaf_members_that_are_not_a_list(tmp_path, members):
+    rep = RunReport("pddp", 0, tree=[TreeRecord(0, None, 0, 2, 0.5, members)],
+                    assignments=[("a", 0), ("b", 0)])
+    with pytest.raises(ValueError, match="^leaf_members of tree node 0 is not a list$"):
+        format_report(rep)
+    with pytest.raises(ValueError, match="tree node 0"):
+        write_report(rep, tmp_path / "r.report")
+    assert not (tmp_path / "r.report").exists()
+
+
 def test_report_nmi_round_trip(tmp_path):
     rep = _sample_report()
     rep.nmi = 0.95321

@@ -228,6 +228,22 @@ def _emptying_case():
     return Partition(labels, 3), X
 
 
+@pytest.mark.parametrize("stop", ["fixed", "csv"])
+def test_pddp_leaf_centroids_are_the_m_step_centroids_bitwise(stop):
+    """PDDP and sGEM compute a centroid one way, so the first M-step on the
+    PDDP leaves starts from the very centroids the split tree holds."""
+    tdm, _ = multinomial_corpus(0)
+    matrix = tfidf_weight(tdm)[0].matrix
+    tree = pddp_run(matrix, stop=stop, k=8, seed=0)
+    part = tree.partition()
+    model = m_step(part, matrix, sums=cluster_sums(matrix, part.labels, part.k)[0],
+                   sq_norms=row_sq_norms(matrix))
+    leaves = tree.leaves()
+    assert len(leaves) == part.k > 1
+    for j, leaf in enumerate(leaves):
+        assert leaf.stats.centroid.tobytes() == model.centroids[j].tobytes()
+
+
 def _count_calls(monkeypatch, owner, name, counter):
     fn = getattr(owner, name)
 

@@ -412,9 +412,9 @@ def test_sib_run_stops_after_its_first_loop_with_no_change(monkeypatch, restarts
     assert sweep_ends.size == restarts and sweep_ends[-1] == loops.size - 1
 
 
-@pytest.mark.parametrize("k", [None, 0, 5, 2.0, "2"])
+@pytest.mark.parametrize("k", [None, 0, 5, 2.0, "2", True])  # bool is an int subclass
 def test_sib_rejects_k_that_is_not_an_integer_in_range(k):
-    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 4\]"):
+    with pytest.raises(ValueError, match=rf"^k must be an integer in \[1, 4\], got {k!r}$"):
         sib_run(random_joint(4, 3, seed=1), k)
 
 
