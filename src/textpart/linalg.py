@@ -11,7 +11,8 @@ so that high-dimensional sparse term matrices stay sparse.
 Cluster statistics have one source each: ``ClusterStats.from_rows`` gives
 one row set's members, centroid, scatter, residual and largest squared row
 norm, and ``cluster_sums`` gives the row sums and sizes of every cluster of
-a partition at once.
+a partition at once. ``principal_direction`` takes its row set's
+``ClusterStats`` as a required argument and computes none of them.
 
 A centroid is computed one way: a row sum over the row count. ``centroid``
 sums CSR rows in the order ``cluster_sums`` does, so on CSR rows (every
@@ -202,7 +203,7 @@ def _constant_columns(rows, rows_t) -> np.ndarray:
     return constant
 
 
-def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None) -> np.ndarray:
+def principal_direction(rows, seed=0, *, stats: ClusterStats) -> np.ndarray:
     """Unit leading eigenvector of the covariance of a row set.
 
     Restarted Lanczos: the covariance ``C`` is applied matrix-free as
@@ -224,8 +225,8 @@ def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None) -> n
 
     ``stats`` is the row set's ``ClusterStats``: ``w`` is its centroid, its
     ``sse`` is the covariance trace times n and its ``max_sq_norm`` scales
-    the check that the rows do not all coincide. A caller that holds the
-    stats passes them; they are computed when omitted.
+    the check that the rows do not all coincide. The solve computes none of
+    these itself; ``split_cluster`` passes the stats of the node it bisects.
 
     Raises ``DegenerateClusterError`` when all rows coincide (zero
     covariance), which callers treat as "this cluster cannot be split", and
@@ -237,8 +238,6 @@ def principal_direction(rows, seed=0, *, stats: ClusterStats | None = None) -> n
     n, dim = rows.shape
     if n < 2:
         raise ValueError("principal direction needs at least 2 rows")
-    if stats is None:
-        stats = ClusterStats.from_rows(rows, np.arange(n))
     w, total = stats.centroid, stats.sse
     if total <= _DEGENERATE_REL_TOL * n * max(stats.max_sq_norm, 1e-300):
         raise DegenerateClusterError("degenerate cluster: all rows identical")

@@ -67,11 +67,17 @@ def bic_from_residuals(sizes, sse, d: int) -> float:
 
 def bic_score(partition: Partition, matrix) -> float:
     """Fit the spherical model to a partition of the matrix rows and score it
-    with ``bic_from_residuals``; the residuals come from ``cluster_sums``."""
-    if np.any(partition.sizes() == 0):
-        raise ValueError("bic_score requires nonempty clusters")
+    with ``bic_from_residuals``; the sizes and residuals come from one
+    ``cluster_sums`` call.
+
+    No pipeline calls it: ``bic_split_test`` scores leaves from their
+    ``ClusterStats``. The tests use it as their reference score of a whole
+    partition, and it stays while ``bench/tracer.py`` wraps it.
+    """
     labels = partition.labels
     sums, counts = cluster_sums(matrix, labels, partition.k)
+    if np.any(counts == 0):
+        raise ValueError("bic_score requires nonempty clusters")
     # sum_{i in j} ||d_i - m_j||^2 = sum_{i in j} ||d_i||^2 - ||s_j||^2 / n_j
     within = np.bincount(labels, weights=row_sq_norms(matrix), minlength=partition.k)
     sse = np.maximum(within - np.einsum("ij,ij->i", sums, sums) / counts, 0.0)

@@ -33,3 +33,11 @@ class Partition:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
+
+
+def check_k(k, n: int) -> None:
+    """Refuse a cluster count ``k`` for ``n`` documents unless it is an
+    integer in [1, n]; a ``bool`` is refused too, though Python counts it as
+    an int."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")

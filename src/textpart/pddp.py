@@ -28,7 +28,7 @@ import numpy as np
 
 from . import model_select
 from .linalg import ClusterStats, DegenerateClusterError, member_rows, principal_direction, row_sq_norms
-from .partition import Partition
+from .partition import Partition, check_k
 
 STOP_RULES = ("fixed", "csv", "bic")
 
@@ -129,8 +129,8 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
         raise ValueError("pddp_run needs at least 2 documents")
     if stop not in STOP_RULES:
         raise ValueError(f"unknown stopping rule {stop!r}")
-    if stop == "fixed" and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n):
-        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
+    if stop == "fixed":
+        check_k(k, n)
     rng = np.random.default_rng(seed)
 
     # Past the bound check only ClusterStats.from_rows reads these norms; a

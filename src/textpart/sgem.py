@@ -18,8 +18,9 @@ needs only the sufficient statistics (n_j, sum of rows, sum of ||d_i||^2)
 of each cluster. ``sgem_run`` computes each statistic once:
 
 - the row norms once per run;
-- the cluster sums once per iteration, for the new assignment, shared by
-  its log-likelihood and the next M-step.
+- the cluster sums and sizes once per iteration, by one ``cluster_sums``
+  call on the new assignment, shared by its log-likelihood and the next
+  M-step.
 
 The step functions take these statistics as required keyword arguments
 and never compute one they are handed; ``sgem_run`` is the entry point.
@@ -87,24 +88,22 @@ def _repair_empty_clusters(
     return labels, sums, counts
 
 
-def m_step(assign: Partition, matrix, *, sums: np.ndarray, sq_norms: np.ndarray) -> SGemModel:
+def m_step(assign: Partition, matrix, *, sums: np.ndarray, counts: np.ndarray,
+           sq_norms: np.ndarray) -> SGemModel:
     """Refit priors, centroids and the shared variance to a hard assignment.
 
-    ``sums`` must be the cluster sums of ``assign``,
-    ``cluster_sums(matrix, assign.labels, assign.k)[0]``, and ``sq_norms``
+    ``sums, counts`` must be the cluster sums and sizes of ``assign``,
+    ``cluster_sums(matrix, assign.labels, assign.k)``, and ``sq_norms``
     must be ``row_sq_norms(matrix)``. Empty clusters are repaired first by
     re-seeding each with the document farthest from its current centroid
     (donor keeps >= 1 member); the input assignment is not mutated, and
-    the sums are recomputed for the repaired labels.
+    the sums and sizes are recomputed for the repaired labels.
     """
     n, d = matrix.shape
     if assign.n_docs != n:
         raise ValueError("assignment length does not match matrix")
-    k = assign.k
-    labels = assign.labels
-    counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
-        labels, sums, counts = _repair_empty_clusters(labels, sums, counts, matrix, sq_norms)
+        _, sums, counts = _repair_empty_clusters(assign.labels, sums, counts, matrix, sq_norms)
 
     centroids = sums / counts[:, None]
     # sum_i ||d_i - m_{z_i}||^2 = sum_i ||d_i||^2 - sum_j n_j ||m_j||^2
@@ -132,18 +131,16 @@ def e_step(model: SGemModel, matrix, *, sq_norms: np.ndarray) -> Partition:
 
 
 def complete_log_likelihood(model: SGemModel, assign: Partition, *, sums: np.ndarray,
-                            sq_norms: np.ndarray) -> float:
+                            counts: np.ndarray, sq_norms: np.ndarray) -> float:
     """log L_c = sum_i [log P(c_{z_i}) - (d/2) log(2 pi s2) - ||d_i - m_{z_i}||^2/(2 s2)].
 
-    For a matrix of d columns, ``sums`` must be
-    ``cluster_sums(matrix, assign.labels, model.k)[0]`` and ``sq_norms``
+    For a matrix of d columns, ``sums, counts`` must be
+    ``cluster_sums(matrix, assign.labels, model.k)`` and ``sq_norms``
     must be ``row_sq_norms(matrix)``; n is ``assign.n_docs``.
     """
     n, d = assign.n_docs, sums.shape[1]
-    labels = assign.labels
-    counts = np.bincount(labels, minlength=model.k)
     # per-cluster residual sum: sum_{i in j} ||d_i||^2 - 2 m_j . s_j + n_j ||m_j||^2
-    rn_per = np.bincount(labels, weights=sq_norms, minlength=model.k)
+    rn_per = np.bincount(assign.labels, weights=sq_norms, minlength=model.k)
     cross = np.einsum("ij,ij->i", model.centroids, sums)
     cnorm = np.einsum("ij,ij->i", model.centroids, model.centroids)
     residual = float(np.maximum(rn_per - 2.0 * cross + counts * cnorm, 0.0).sum())
@@ -187,10 +184,11 @@ def sgem_run(
     trace: list[float] = []
     model: SGemModel | None = None
     for _ in range(MAX_ITER):
-        model = m_step(z, matrix, sums=sums, sq_norms=sq_norms)
+        model = m_step(z, matrix, sums=sums, counts=counts, sq_norms=sq_norms)
         z_new = e_step(model, matrix, sq_norms=sq_norms)
-        sums = cluster_sums(matrix, z_new.labels, init.k)[0]
-        trace.append(complete_log_likelihood(model, z_new, sums=sums, sq_norms=sq_norms))
+        sums, counts = cluster_sums(matrix, z_new.labels, init.k)
+        trace.append(complete_log_likelihood(model, z_new, sums=sums, counts=counts,
+                                             sq_norms=sq_norms))
         fixed_point = bool(np.array_equal(z_new.labels, z.labels))
         z = z_new
         if fixed_point:

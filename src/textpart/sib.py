@@ -38,7 +38,7 @@ from scipy.special import xlogy
 
 from .corpus import JointDistribution
 from .linalg import cluster_sums
-from .partition import Partition
+from .partition import Partition, check_k
 
 
 class SibState:
@@ -57,12 +57,14 @@ class SibState:
         assignment = Partition(assignment, k).labels  # raises on a label outside [0, k)
         if assignment.shape != (n,):
             raise ValueError("assignment length does not match joint")
-        if np.any(np.bincount(assignment, minlength=k) == 0):
+        rows = joint.joint_rows()  # canonical, so each row's columns are sorted
+        self.word_mass, self.sizes = cluster_sums(rows, assignment, k)
+        if np.any(self.sizes == 0):
             raise ValueError("initial partition has an empty cluster")
+        self._mass_xlogy = xlogy(self.word_mass, self.word_mass)
         self.assignment = assignment.copy()
         self.px = joint.px.copy()
 
-        rows = joint.joint_rows()  # canonical, so each row's columns are sorted
         self._indptr = rows.indptr
         self._indices = rows.indices
         self._data = rows.data
@@ -72,8 +74,6 @@ class SibState:
         self._doc_term = cum[self._indptr[1:]] - cum[self._indptr[:-1]] - xlogy(self.px, self.px)
 
         self.pt = np.bincount(assignment, weights=self.px, minlength=k)
-        self.word_mass, self.sizes = cluster_sums(rows, assignment, k)
-        self._mass_xlogy = xlogy(self.word_mass, self.word_mass)
 
         py = joint.py()
         self._neg_h_y = float(xlogy(py, py).sum())
@@ -216,8 +216,7 @@ def sib_run(
     ``np.bincount(part.labels, weights=joint.px, minlength=part.k)``.
     """
     n = joint.n_docs
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
+    check_k(k, n)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
     if n_restarts < 1:

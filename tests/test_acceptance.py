@@ -17,7 +17,7 @@ from oracles import best_bipartition_information, top_eigvec_dense
 import textpart
 from textpart import nmi, pddp_run, sgem_run, sib_run, tfidf_weight, word_conditionals
 from textpart.cli import main
-from textpart.linalg import principal_direction
+from textpart.linalg import ClusterStats, principal_direction
 from textpart.model_select import param_count
 from textpart.sib import SibState, random_assignment
 
@@ -122,6 +122,11 @@ def test_c05_sib_small_instance_optimality():
     _verdict("C5 sib-optimality", ok, f"{hits}/20 optimal, {elapsed:.2f}s")
 
 
+def _stats(rows) -> ClusterStats:
+    """The stats of a whole row set, which ``principal_direction`` requires."""
+    return ClusterStats.from_rows(rows, np.arange(rows.shape[0]))
+
+
 def test_c06_eigen_oracle():
     rng = np.random.default_rng(1234)
     worst = 1.0
@@ -129,7 +134,7 @@ def test_c06_eigen_oracle():
         n = int(rng.integers(5, 101))
         d = int(rng.integers(2, 21))
         X = rng.normal(size=(n, d))
-        u = principal_direction(X, seed=int(rng.integers(0, 2**31)))
+        u = principal_direction(X, seed=int(rng.integers(0, 2**31)), stats=_stats(X))
         worst = min(worst, abs(float(u @ top_eigvec_dense(X))))
     ok = worst >= 1 - 1e-6
     _verdict("C6 eigen-oracle", ok, f"worst |u.u_oracle| = {worst:.12f}")

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datagen import multinomial_corpus, near_tied_cloud
+from datagen import multinomial_corpus, near_tied_cloud, random_joint
 from oracles import cluster_sums_loop, dense_covariance, row_sq_norms_multiply, top_eigvec_dense
 from textpart import linalg
 from textpart.corpus import read_matrix, tfidf_weight, write_matrix
@@ -20,7 +21,11 @@ from textpart.linalg import (
     row_sq_norms,
     sq_distances,
 )
+from textpart.model_select import bic_score
+from textpart.partition import Partition
 from textpart.pddp import pddp_run
+from textpart.sgem import complete_log_likelihood, m_step
+from textpart.sib import SibState
 
 
 def test_centroid_midpoint():
@@ -65,6 +70,39 @@ def test_cluster_stats_sse():
     stats = ClusterStats.from_rows(np.array([[0.0], [2.0]]), [0, 1])
     assert stats.sse == pytest.approx(2.0)
     assert stats.scatter == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("step", ["m_step", "complete_log_likelihood", "SibState", "bic_score"])
+def test_each_step_reads_the_cluster_sizes_of_one_cluster_sums_call(step, monkeypatch):
+    """A cluster size is an unweighted ``np.bincount`` of the labels. The sGEM
+    steps take theirs from the caller's ``cluster_sums``; ``SibState`` and
+    ``bic_score`` take theirs from their own single ``cluster_sums`` call."""
+    rng = np.random.default_rng(3)
+    X = rng.random((12, 3))
+    labels = np.arange(12) % 3
+    part = Partition(labels, 3)
+    sums, counts = cluster_sums(X, labels, 3)
+    stats = {"sums": sums, "counts": counts, "sq_norms": row_sq_norms(X)}
+    model = m_step(part, X, **stats)
+    joint = random_joint(12, 5, seed=0)
+    counters = []
+    bincount = np.bincount
+
+    def recording(x, weights=None, minlength=0):
+        if weights is None:
+            counters.append(sys._getframe(1).f_globals["__name__"])
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", recording)
+    if step == "m_step":
+        m_step(part, X, **stats)
+    elif step == "complete_log_likelihood":
+        complete_log_likelihood(model, part, **stats)
+    elif step == "SibState":
+        SibState(joint, labels, 3)
+    else:
+        bic_score(part, X)
+    assert counters == ([] if step in ("m_step", "complete_log_likelihood") else ["textpart.linalg"])
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -212,9 +250,20 @@ def test_sq_distances_matches_direct():
     assert sq_distances(sp.csr_array(X), C, sq_norms=row_sq_norms(X)) == pytest.approx(direct)
 
 
+def _stats(rows) -> ClusterStats:
+    """The stats of a whole row set, which ``principal_direction`` requires."""
+    return ClusterStats.from_rows(rows, np.arange(rows.shape[0]))
+
+
+def test_principal_direction_requires_the_row_sets_stats():
+    rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.1], [0.0, -0.1]])
+    with pytest.raises(TypeError, match="stats"):
+        principal_direction(rows, 0)
+
+
 def test_principal_direction_dominant_axis():
     rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.1], [0.0, -0.1]])
-    u = principal_direction(rows, seed=0)
+    u = principal_direction(rows, seed=0, stats=_stats(rows))
     assert abs(u @ np.array([1.0, 0.0])) >= 1 - 1e-6
     assert u[0] > 0  # sign convention: first nonzero coordinate positive
 
@@ -224,15 +273,17 @@ def test_principal_direction_closed_form_2x2():
     s = np.sqrt(3.0)
     rows = np.array([[s, s], [-s, -s], [1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(dense_covariance(rows), [[2.0, 1.0], [1.0, 2.0]])
-    u = principal_direction(rows, seed=1)
+    u = principal_direction(rows, seed=1, stats=_stats(rows))
     expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert abs(u @ expected) >= 1 - 1e-6
     assert u[0] > 0 and u[1] > 0
 
 
 def test_principal_direction_identical_rows_degenerate():
+    rows = np.array([[1.0, 2.0], [1.0, 2.0]])
+    stats = _stats(rows)
     with pytest.raises(DegenerateClusterError):
-        principal_direction(np.array([[1.0, 2.0], [1.0, 2.0]]), seed=0)
+        principal_direction(rows, seed=0, stats=stats)
 
 
 def test_principal_direction_unit_norm_and_residual():
@@ -241,7 +292,7 @@ def test_principal_direction_unit_norm_and_residual():
         n = int(rng.integers(3, 60))
         d = int(rng.integers(2, 30))
         X = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d)
-        u = principal_direction(X, seed=int(rng.integers(0, 1 << 30)))
+        u = principal_direction(X, seed=int(rng.integers(0, 1 << 30)), stats=_stats(X))
         assert abs(np.linalg.norm(u) - 1.0) < 1e-9
         C = dense_covariance(X)
         lam = u @ C @ u
@@ -254,14 +305,15 @@ def test_principal_direction_matches_eigh_oracle():
         n = int(rng.integers(4, 80))
         d = int(rng.integers(2, 20))
         X = rng.normal(size=(n, d))
-        u = principal_direction(X, seed=int(rng.integers(0, 1 << 30)))
+        u = principal_direction(X, seed=int(rng.integers(0, 1 << 30)), stats=_stats(X))
         assert abs(u @ top_eigvec_dense(X)) >= 1 - 1e-6
 
 
 def test_principal_direction_sparse_rows():
     rng = np.random.default_rng(12)
     X = rng.random((30, 8)) * (rng.random((30, 8)) > 0.6)
-    u = principal_direction(sp.csr_array(X), seed=3)
+    rows = sp.csr_array(X)
+    u = principal_direction(rows, seed=3, stats=_stats(rows))
     assert abs(u @ top_eigvec_dense(X)) >= 1 - 1e-6
 
 
@@ -274,7 +326,7 @@ def test_principal_direction_range_property_fixes_sign_on_support():
     X[:, 1] = rng.random(40) + 0.5
     rows = sp.csr_array(X)
     for seed in range(5):
-        u = principal_direction(rows, seed=seed)
+        u = principal_direction(rows, seed=seed, stats=_stats(rows))
         assert u[0] == 0.0
         assert u[1] > 0
         assert abs(u @ top_eigvec_dense(X)) >= 1 - 1e-6
@@ -288,7 +340,7 @@ def test_principal_direction_constant_column_does_not_decide_the_sign(sparse):
     X = np.array([[5.0, 0.0, 3.0], [5.0, 1.0, 3.0], [5.0, 2.0, 3.0], [5.0, 4.0, 0.0]])
     rows = sp.csr_array(X) if sparse else X
     for seed in range(4):
-        u = principal_direction(rows, seed=seed)
+        u = principal_direction(rows, seed=seed, stats=_stats(rows))
         assert u[0] == 0
         assert u[1] > 0
         assert abs(u @ top_eigvec_dense(X)) >= 1 - 1e-12
@@ -313,7 +365,7 @@ def test_principal_direction_redraws_start_in_null_space():
     # the rows vary only along x, so the start (0, 1) lies in the null space of C
     rows = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
     rng = _NullStartGenerator([0.0, 1.0])
-    u = principal_direction(rows, seed=rng)
+    u = principal_direction(rows, seed=rng, stats=_stats(rows))
     assert rng.draws == 2
     assert np.all(np.isfinite(u))
     assert u[0] == pytest.approx(1.0) and abs(u[1]) < 1e-12
@@ -321,9 +373,9 @@ def test_principal_direction_redraws_start_in_null_space():
 
 def test_principal_direction_raises_when_restart_budget_is_spent(monkeypatch):
     X = near_tied_cloud(0)
-    assert abs(principal_direction(X, seed=0) @ top_eigvec_dense(X)) >= 1 - 1e-3
+    assert abs(principal_direction(X, seed=0, stats=_stats(X)) @ top_eigvec_dense(X)) >= 1 - 1e-3
     monkeypatch.setattr(linalg, "_MAX_RESTARTS", 1)
     with pytest.raises(ConvergenceError):
-        principal_direction(X, seed=0)
+        principal_direction(X, seed=0, stats=_stats(X))
     with pytest.raises(ConvergenceError):  # not taken for a degenerate cluster
         pddp_run(X, stop="fixed", k=2, seed=0)

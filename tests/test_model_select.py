@@ -191,12 +191,13 @@ def test_bic_split_test_matches_full_partition_scores():
 
         # bic_score against the sGEM complete-data log-likelihood of its M-step
         for part in (before, after):
-            sums, sq_norms = cluster_sums(M, part.labels, part.k)[0], row_sq_norms(M)
-            model = m_step(part, M, sums=sums, sq_norms=sq_norms)
+            sums, counts = cluster_sums(M, part.labels, part.k)
+            step_stats = {"sums": sums, "counts": counts, "sq_norms": row_sq_norms(M)}
+            model = m_step(part, M, **step_stats)
             if model.sigma2 <= SIGMA2_FLOOR:
                 assert bic_score(part, M) == -np.inf
                 continue
-            ref = (complete_log_likelihood(model, part, sums=sums, sq_norms=sq_norms)
+            ref = (complete_log_likelihood(model, part, **step_stats)
                    - param_count(part.k, d) / 2.0 * math.log(M.shape[0]))
             assert _close(bic_score(part, M), ref)
     assert floors >= 1

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from datagen import five_clusters, multinomial_corpus, two_gaussians
 from oracles import pddp_run_recompute, top_eigvec_dense
-from textpart import nmi, pddp
+from textpart import linalg, model_select, nmi, pddp
 from textpart.corpus import tfidf_weight
 from textpart.linalg import ClusterStats, DegenerateClusterError
 from textpart.pddp import TreeNode, pddp_run, select_leaf, split_cluster
@@ -224,6 +224,39 @@ def test_pddp_partition_matches_dense_eigen_oracle(monkeypatch, seed, stop):
 
 
 # --- node statistics computed once: same tree, bit for bit -------------------
+
+@pytest.mark.parametrize("stop", ["fixed", "csv"])
+def test_pddp_run_computes_each_statistic_once(stop, monkeypatch):
+    """The row norms once over the matrix and each node's stats once: the
+    root's, and each child's once its parent has been cut. A CSV test makes
+    the stats of the leaf centroids, with their own row norms."""
+    tdm, _ = multinomial_corpus(0)
+    matrix = tfidf_weight(tdm)[0].matrix
+    calls = {"row_sq_norms": 0, "from_rows": 0, "csv": 0, "cut": 0}
+
+    def counting(owner, name, key, on_return=False):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += not on_return
+            result = fn(*args, **kwargs)
+            calls[key] += on_return
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(pddp, "row_sq_norms", "row_sq_norms")
+    counting(linalg, "row_sq_norms", "row_sq_norms")
+    counting(ClusterStats, "from_rows", "from_rows")
+    counting(model_select, "csv", "csv")
+    # a split that reaches the hyperplane returns; a degenerate one raises
+    counting(pddp, "split_cluster", "cut", on_return=True)
+    tree = pddp_run(matrix, stop=stop, k=8, seed=0)
+    assert calls["cut"] == sum(1 for nd in tree.nodes if not nd.is_leaf)
+    assert (calls["csv"] > 0) == (stop == "csv")
+    assert calls["row_sq_norms"] == 1 + calls["csv"]
+    assert calls["from_rows"] == 1 + 2 * calls["cut"] + calls["csv"]
+
 
 def _assert_same_tree(tree, oracle):
     assert tree.warning == oracle.warning

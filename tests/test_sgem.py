@@ -20,6 +20,13 @@ from textpart.sgem import (
 )
 
 
+def _step_stats(matrix, assign):
+    """The statistics ``sgem_run`` hands its steps for ``assign``: both
+    halves of one ``cluster_sums`` call and the row norms."""
+    sums, counts = cluster_sums(matrix, assign.labels, assign.k)
+    return {"sums": sums, "counts": counts, "sq_norms": row_sq_norms(matrix)}
+
+
 def test_e_step_nearest_centroid_under_equal_priors():
     model = SGemModel([0.5, 0.5], [[0.0, 0.0], [10.0, 0.0]], 1.0)
     X = np.array([[1.0, 0.0]])
@@ -63,7 +70,7 @@ def test_e_step_all_zero_priors_invalid():
 def test_m_step_single_cluster_identity():
     X = np.array([[0.0, 2.0], [2.0, 0.0], [4.0, 4.0]])
     z = Partition(np.zeros(3, dtype=int), 1)
-    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
+    model = m_step(z, X, **_step_stats(X, z))
     assert model.priors.tolist() == [1.0]
     assert model.centroids[0] == pytest.approx(X.mean(axis=0))
 
@@ -71,7 +78,7 @@ def test_m_step_single_cluster_identity():
 def test_m_step_sigma2_scalar_case():
     X = np.array([[0.0], [2.0]])
     z = Partition(np.zeros(2, dtype=int), 1)
-    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
+    model = m_step(z, X, **_step_stats(X, z))
     assert model.centroids[0] == pytest.approx([1.0])
     assert model.sigma2 == pytest.approx(1.0)
 
@@ -79,7 +86,7 @@ def test_m_step_sigma2_scalar_case():
 def test_m_step_priors_are_counts_over_n():
     X = np.array([[0.0], [0.1], [-0.1], [9.0]])
     z = Partition(np.array([0, 0, 0, 1]), 2)
-    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
+    model = m_step(z, X, **_step_stats(X, z))
     assert model.priors.tolist() == [0.75, 0.25]
 
 
@@ -91,14 +98,14 @@ def test_m_step_priors_sum_exactly_rationally():
     if np.any(counts == 0):  # repaired case would change counts; keep the raw check
         counts = counts[counts > 0]
     assert sum(Fraction(int(c), 23) for c in counts) == 1
-    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
+    model = m_step(z, X, **_step_stats(X, z))
     assert abs(model.priors.sum() - 1.0) < 1e-12
 
 
 def test_m_step_repairs_empty_cluster_with_farthest_doc():
     X = np.array([[0.0], [0.1], [5.0]])
     z = Partition(np.array([0, 0, 0]), 2)
-    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
+    model = m_step(z, X, **_step_stats(X, z))
     # doc 2 is farthest from the cluster-0 centroid and seeds cluster 1
     assert model.priors.tolist() == pytest.approx([2 / 3, 1 / 3])
     assert model.centroids[1] == pytest.approx([5.0])
@@ -107,7 +114,7 @@ def test_m_step_repairs_empty_cluster_with_farthest_doc():
 def test_m_step_sigma2_floor():
     X = np.array([[1.0, 1.0], [1.0, 1.0]])
     z = Partition(np.zeros(2, dtype=int), 1)
-    model = m_step(z, X, sums=cluster_sums(X, z.labels, z.k)[0], sq_norms=row_sq_norms(X))
+    model = m_step(z, X, **_step_stats(X, z))
     assert model.sigma2 == SIGMA2_FLOOR
 
 
@@ -115,8 +122,7 @@ def test_cll_zero_case():
     # one doc exactly at its centroid, sigma2 = 1/(2 pi), d = 1 -> log L_c = 0
     model = SGemModel([1.0], [[3.0]], 1.0 / (2.0 * math.pi))
     X, z = np.array([[3.0]]), Partition(np.array([0]), 1)
-    value = complete_log_likelihood(model, z, sums=cluster_sums(X, z.labels, z.k)[0],
-                                    sq_norms=row_sq_norms(X))
+    value = complete_log_likelihood(model, z, **_step_stats(X, z))
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -124,18 +130,15 @@ def test_cll_decreases_when_residuals_double():
     model = SGemModel([1.0], [[0.0]], 1.0)
     z = Partition(np.array([0, 0]), 1)
     X_near, X_far = np.array([[1.0], [-1.0]]), np.array([[2.0], [-2.0]])
-    near = complete_log_likelihood(model, z, sums=cluster_sums(X_near, z.labels, z.k)[0],
-                                   sq_norms=row_sq_norms(X_near))
-    far = complete_log_likelihood(model, z, sums=cluster_sums(X_far, z.labels, z.k)[0],
-                                  sq_norms=row_sq_norms(X_far))
+    near = complete_log_likelihood(model, z, **_step_stats(X_near, z))
+    far = complete_log_likelihood(model, z, **_step_stats(X_far, z))
     assert far < near
 
 
 def test_cll_unit_prior_contributes_zero():
     model = SGemModel([1.0], [[0.0]], 1.0)
     X, z = np.array([[0.0]]), Partition(np.array([0]), 1)
-    value = complete_log_likelihood(model, z, sums=cluster_sums(X, z.labels, z.k)[0],
-                                    sq_norms=row_sq_norms(X))
+    value = complete_log_likelihood(model, z, **_step_stats(X, z))
     assert value == pytest.approx(-0.5 * math.log(2 * math.pi))
 
 
@@ -143,18 +146,17 @@ def test_cll_unit_prior_contributes_zero():
 def test_cll_is_minus_inf_for_a_document_in_a_zero_prior_component():
     model = SGemModel([0.0, 1.0], [[0.0], [1.0]], 1.0)
     X, z = np.array([[0.0], [1.0]]), Partition(np.array([0, 1]), 2)
-    value = complete_log_likelihood(model, z, sums=cluster_sums(X, z.labels, z.k)[0],
-                                    sq_norms=row_sq_norms(X))
+    value = complete_log_likelihood(model, z, **_step_stats(X, z))
     assert value == -math.inf
 
 
 def test_cll_finite_at_sigma_floor():
     X = np.array([[1.0], [1.0]])
     z = Partition(np.zeros(2, dtype=int), 1)
-    sums, sq_norms = cluster_sums(X, z.labels, z.k)[0], row_sq_norms(X)
-    model = m_step(z, X, sums=sums, sq_norms=sq_norms)
+    stats = _step_stats(X, z)
+    model = m_step(z, X, **stats)
     assert model.sigma2 == SIGMA2_FLOOR
-    assert np.isfinite(complete_log_likelihood(model, z, sums=sums, sq_norms=sq_norms))
+    assert np.isfinite(complete_log_likelihood(model, z, **stats))
 
 
 def test_sgem_run_fixed_point_converges_in_one_iteration():
@@ -202,10 +204,8 @@ def test_idempotence_at_convergence():
     tree = pddp_run(X, stop="fixed", k=5, seed=1)
     final, _, _ = sgem_run(tree.partition(), X)
     sq_norms = row_sq_norms(X)
-    once = e_step(m_step(final, X, sums=cluster_sums(X, final.labels, final.k)[0], sq_norms=sq_norms),
-                  X, sq_norms=sq_norms)
-    twice = e_step(m_step(once, X, sums=cluster_sums(X, once.labels, once.k)[0], sq_norms=sq_norms),
-                   X, sq_norms=sq_norms)
+    once = e_step(m_step(final, X, **_step_stats(X, final)), X, sq_norms=sq_norms)
+    twice = e_step(m_step(once, X, **_step_stats(X, once)), X, sq_norms=sq_norms)
     assert np.array_equal(once.labels, twice.labels)
 
 
@@ -236,8 +236,7 @@ def test_pddp_leaf_centroids_are_the_m_step_centroids_bitwise(stop):
     matrix = tfidf_weight(tdm)[0].matrix
     tree = pddp_run(matrix, stop=stop, k=8, seed=0)
     part = tree.partition()
-    model = m_step(part, matrix, sums=cluster_sums(matrix, part.labels, part.k)[0],
-                   sq_norms=row_sq_norms(matrix))
+    model = m_step(part, matrix, **_step_stats(matrix, part))
     leaves = tree.leaves()
     assert len(leaves) == part.k > 1
     for j, leaf in enumerate(leaves):
