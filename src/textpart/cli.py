@@ -37,6 +37,7 @@ from .evaluate import nmi
 from .linalg import ConvergenceError
 from .pddp import STOP_RULES, pddp_run
 from .sgem import sgem_run
+from .sib import sib_run
 from .textio import read_labels
 
 # The flags each pipeline reads beyond --stop, --k, --seed and --weighting,
@@ -102,9 +103,7 @@ def run_clustering(
     joint = None
     if algo in ("sib", "pddp+sib"):
         joint = word_conditionals(_subset_docs(tdm, set(weighted.doc_ids)) if dropped else tdm)
-        # Looked up through the module, so a wrapper bound there is called,
-        # and scipy.special is imported before the clock starts.
-        sib_run = sys.modules[__name__].sib_run
+        import scipy.special  # SibState imports it; that must not count in time_seconds
     doc_ids, matrix = weighted.doc_ids, weighted.matrix
     del tdm, weighted
 
@@ -139,19 +138,6 @@ def run_clustering(
         assignments=[(doc_id, int(c)) for doc_id, c in zip(doc_ids, part.labels)],
     )
     return rep
-
-
-def __getattr__(name: str):
-    """Import ``sib_run`` (and with it scipy.special) on first use.
-
-    It stays a name of this module because bench/tracer.py wraps it here.
-    """
-    if name != "sib_run":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .sib import sib_run
-
-    globals()[name] = sib_run
-    return sib_run
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:

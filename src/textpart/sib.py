@@ -26,6 +26,10 @@ supp(x) and draws x out of its own row of that copy, so a document that
 stays in its cluster writes nothing; only a move writes the two touched
 rows back. I(T; Y) is read from the same table (``SibState.information``).
 
+``SibState.__init__`` imports ``scipy.special`` and binds its ``xlogy``
+once per state, so importing this module loads numpy alone and a step
+pays for no import.
+
 This module holds only these incremental forms. The definitional ones,
 KL and JS divergences, d(x, t) from the conditionals and I(T; Y) of an
 assignment, are the test suite's reference (``tests/oracles.py``).
@@ -34,7 +38,6 @@ assignment, are the test suite's reference (``tests/oracles.py``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
 from .corpus import JointDistribution
 from .linalg import cluster_sums
@@ -53,6 +56,9 @@ class SibState:
     """
 
     def __init__(self, joint: JointDistribution, assignment: np.ndarray, k: int):
+        from scipy.special import xlogy
+
+        self._xlogy = xlogy
         n = joint.n_docs
         assignment = Partition(assignment, k).labels  # raises on a label outside [0, k)
         if assignment.shape != (n,):
@@ -92,6 +98,7 @@ class SibState:
         x merged in; ``b_log_b`` and ``ab_log_ab`` their xlogy. A move
         writes row ``t_old`` of ``b`` and row ``t_new`` of ``ab`` back.
         """
+        xlogy = self._xlogy
         t_old = self.assignment[x]
         cols, avals = self._doc_row(x)
         px = self.px[x]
@@ -144,7 +151,7 @@ class SibState:
     def information(self) -> float:
         """I(T; Y) of the current partition from the incremental statistics."""
         h_tj = float(self._mass_xlogy.sum())
-        h_t = float(xlogy(self.pt, self.pt).sum())
+        h_t = float(self._xlogy(self.pt, self.pt).sum())
         return h_tj - h_t - self._neg_h_y
 
 

@@ -491,7 +491,7 @@ def test_module_entry_point_subprocess(tmp_path):
                       "--output", str(prefix), "--min-count", "1")
     assert run.returncode == 0
     assert len(run.stdout.split()) == 3
-    # under -m the module is __main__, and its sib_run is still bound on first use
+    # the sIB pipeline under -m, where the module runs as __main__
     run = _run_python("-m", "textpart.cli", "cluster", str(prefix), "--algo", "sib",
                       "--stop", "fixed", "--k", "2", "--restarts", "1")
     assert run.returncode == 0, run.stderr
@@ -555,7 +555,7 @@ def test_cluster_imports_its_scipy_before_the_clock(tmp_path, algo, stop, specia
     assert ("scipy.special" in loaded) is special
 
 
-def test_cli_binds_sib_run_on_first_use():
+def test_cli_binds_sib_run_from_its_module():
     from textpart import sib
 
     assert cli.sib_run is sib.sib_run
