@@ -278,10 +278,15 @@ def word_conditionals(m: TermDocMatrix) -> JointDistribution:
     """Normalize raw counts into p(y|x) rows with uniform p(x) = 1/n.
 
     ``p(y|x)`` is the count of word y in document x times the reciprocal of
-    the document's total count. A document whose counts sum to 0 or less,
-    or to a total or a reciprocal that overflows float64 (a sum below about
-    5.6e-309), raises ``ValueError`` naming the first such document.
+    the document's total count. A document that stores a negative or NaN
+    count, whose counts sum to 0, or whose total or its reciprocal
+    overflows float64 (a sum below about 5.6e-309, or an infinite count),
+    raises ``ValueError`` naming the first such document.
     """
+    not_counts = ~(m.matrix.data >= 0)
+    if not_counts.any():
+        row = np.searchsorted(m.matrix.indptr, not_counts.argmax(), side="right") - 1
+        raise ValueError(f"document {m.doc_ids[row]!r} holds a count that is negative or not a number")
     with np.errstate(over="ignore", divide="ignore"):
         totals = np.asarray(m.matrix.sum(axis=1)).ravel()
         scale = 1.0 / totals

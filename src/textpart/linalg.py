@@ -14,6 +14,12 @@ norm, and ``cluster_sums`` gives the row sums and sizes of every cluster of
 a partition at once. ``principal_direction`` takes its row set's
 ``ClusterStats`` as a required argument and computes none of them.
 
+``ClusterStats.from_rows`` is also the one check of row magnitudes: it
+refuses a row that holds NaN or an infinity, or whose squared norm is
+beyond ``_MAX_SQ_NORM``, before any arithmetic that the bound protects.
+So every PDDP split, every eigen-solve and every CSV score reads stats of
+rows that passed it.
+
 A centroid is computed one way: a row sum over the row count. ``centroid``
 sums CSR rows in the order ``cluster_sums`` does, so on CSR rows (every
 matrix the CLI clusters) a PDDP leaf's centroid and the one sGEM's M-step
@@ -36,6 +42,12 @@ _DEGENERATE_REL_TOL = 1e-14
 _KRYLOV_DIM = 24
 _MAX_RESTARTS = 50
 
+# The largest squared row norm R^2 that ``ClusterStats.from_rows`` accepts.
+# The eigen-solve takes numpy's unscaled norm of covariance images, whose
+# squares reach (4 R^2)^2; the sse sums (below 4 n R^2) and the squared
+# distances (below 2 R^2) stay far under float64's range at this bound.
+_MAX_SQ_NORM = float(np.sqrt(np.finfo(float).max)) / 4.0
+
 
 class DegenerateClusterError(ValueError):
     """All rows of the cluster coincide; it has no principal direction."""
@@ -45,8 +57,12 @@ class ConvergenceError(ArithmeticError):
     """An iterative solve did not meet its accuracy bound within its budget."""
 
 
+@np.errstate(over="ignore")
 def row_sq_norms(rows) -> np.ndarray:
     """Squared L2 norm of every row, shape (n_rows,).
+
+    A square or a sum beyond float64's range is ``inf``, without a numpy
+    warning; ``ClusterStats.from_rows`` refuses such rows by name.
 
     Sparse rows: the squares of the stored values, on the input's own index
     arrays, are summed by scipy's ``sum(axis=1)``, which is
@@ -151,7 +167,10 @@ class ClusterStats:
     squared distances, sum_i ||d_i - w||^2 = ||A - w e^T||_F^2, which the
     BIC split test reads. Boley's "scatter value" is ``sse`` (see ``pddp``).
     ``max_sq_norm`` is max_i ||d_i||^2, the scale of the eigen-solve's
-    check that the rows do not all coincide. A PDDP split
+    check that the rows do not all coincide. ``from_rows`` refuses rows
+    whose ``max_sq_norm`` exceeds ``_MAX_SQ_NORM``, sqrt(float64 max) / 4,
+    about 3.35e153 (one stored value of about 5.8e76), and rows holding NaN
+    or an infinity; stats built by hand are not checked. A PDDP split
     (``split_cluster``, then ``principal_direction``) reads every input it
     needs from the stats of the cluster it bisects, so they always describe
     one row set. ``centroid`` is ``linalg.centroid`` of the member rows,
@@ -168,13 +187,29 @@ class ClusterStats:
     @classmethod
     def from_rows(cls, matrix, members, *, sq_norms: np.ndarray | None = None) -> "ClusterStats":
         """Stats of the rows ``members`` of ``matrix``; ``sq_norms``, if
-        given, must be ``row_sq_norms(matrix)``."""
+        given, must be ``row_sq_norms(matrix)``.
+
+        Raises ``ValueError`` naming the first member row, by its index in
+        ``matrix``, that holds a value that is not finite, whose squared
+        norm overflows float64, or whose squared norm is above
+        ``_MAX_SQ_NORM``; no other arithmetic runs on such rows.
+        """
         members = np.asarray(members, dtype=np.intp)
         rows = member_rows(matrix, members)
-        c = centroid(rows)
         rn = row_sq_norms(rows) if sq_norms is None else sq_norms[members]
+        max_sq_norm = float(rn.max(initial=0.0))  # no members: centroid names the fault
+        if not max_sq_norm <= _MAX_SQ_NORM:  # also true for NaN
+            at = int((~(rn <= _MAX_SQ_NORM)).argmax())
+            row = rows[[at]]
+            if not np.isfinite(row if isinstance(row, np.ndarray) else row.data).all():
+                raise ValueError(f"document at row {members[at]}: holds a value that is not finite")
+            if not np.isfinite(rn[at]):
+                raise ValueError(f"document at row {members[at]}: its squared norm overflows float64")
+            raise ValueError(f"document at row {members[at]}: its squared norm {rn[at]:.3g} is above "
+                             f"{_MAX_SQ_NORM:.3g}, the largest PDDP can split without overflow")
+        c = centroid(rows)
         d2 = sq_distances(rows, c, sq_norms=rn)[:, 0]
-        return cls(members, c, float(np.sqrt(d2).mean()), float(d2.sum()), float(rn.max()))
+        return cls(members, c, float(np.sqrt(d2).mean()), float(d2.sum()), max_sq_norm)
 
     @property
     def size(self) -> int:

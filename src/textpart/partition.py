@@ -31,9 +31,6 @@ class Partition:
     def n_docs(self) -> int:
         return int(self.labels.size)
 
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
-
 
 def check_k(k, n: int) -> None:
     """Refuse a cluster count ``k`` for ``n`` documents unless it is an

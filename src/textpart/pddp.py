@@ -32,12 +32,6 @@ from .partition import Partition, check_k
 
 STOP_RULES = ("fixed", "csv", "bic")
 
-# The largest squared row norm R^2 that PDDP accepts. The eigen-solve takes
-# numpy's unscaled norm of covariance images, whose squares reach
-# (4 R^2)^2; the sse sums (below 4 n R^2) and the squared distances (below
-# 2 R^2) stay far under float64's range at this bound.
-_MAX_SQ_NORM = float(np.sqrt(np.finfo(float).max)) / 4.0
-
 
 @dataclass
 class TreeNode:
@@ -119,10 +113,11 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
     leaves, kept in node-id order as the tree grows. Unsplittable leaves
     (identical rows) are marked final and skipped. If the leaves run out
     before a fixed/CSV rule fires, the tree is returned with ``warning`` set.
-    A row whose squared norm exceeds sqrt(float64 max) / 4, about 3.4e153
-    (one stored value of about 5.8e76), raises ``ValueError`` naming the
-    first such row before the first split, since the eigen-solve would
-    overflow on it.
+    A row that ``ClusterStats.from_rows`` refuses (one holding NaN or an
+    infinity, or whose squared norm exceeds sqrt(float64 max) / 4, about
+    3.35e153, which one stored value of about 5.8e76 reaches) raises
+    ``ValueError`` naming the first such row before the first split, since
+    the eigen-solve would overflow on it.
     """
     n = matrix.shape[0]
     if n < 2:
@@ -133,17 +128,7 @@ def pddp_run(matrix, stop: str = "fixed", k: int | None = None, seed: int = 0) -
         check_k(k, n)
     rng = np.random.default_rng(seed)
 
-    # Past the bound check only ClusterStats.from_rows reads these norms; a
-    # split reads its node's stats and re-slices the rows.
-    with np.errstate(over="ignore"):
-        sq_norms = row_sq_norms(matrix)
-    beyond = ~(sq_norms <= _MAX_SQ_NORM)
-    if beyond.any():
-        row = beyond.argmax()
-        if not np.isfinite(sq_norms[row]):
-            raise ValueError(f"document at row {row}: its squared norm overflows float64")
-        raise ValueError(f"document at row {row}: its squared norm {sq_norms[row]:.3g} is above "
-                         f"{_MAX_SQ_NORM:.3g}, the largest PDDP can split without overflow")
+    sq_norms = row_sq_norms(matrix)
     root_stats = ClusterStats.from_rows(matrix, np.arange(n, dtype=np.intp), sq_norms=sq_norms)
     tree = ClusterTree([TreeNode(0, None, 0, root_stats)])
 

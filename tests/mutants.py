@@ -113,9 +113,9 @@ MUTANTS = (
            ("test_sib.py",)),
     Mutant("M20", "eigenvector sign rule flipped", "linalg.py",
            "if nz.size and u[nz[0]] < 0:", "if nz.size and u[nz[0]] > 0:", ("test_linalg.py",)),
-    Mutant("M21", "PDDP magnitude bound /4 -> /2", "pddp.py",
+    Mutant("M21", "PDDP magnitude bound /4 -> /2", "linalg.py",
            "float(np.sqrt(np.finfo(float).max)) / 4.0",
-           "float(np.sqrt(np.finfo(float).max)) / 2.0", ("test_cli.py", "test_pddp.py")),
+           "float(np.sqrt(np.finfo(float).max)) / 2.0", ("test_linalg.py", "test_cli.py")),
     Mutant("M22", "sIB may draw a cluster's only member", "sib.py",
            "        if self.sizes[t_old] == 1:\n            return False\n", "",
            ("test_cli.py", "test_sib.py")),
@@ -125,6 +125,10 @@ MUTANTS = (
     Mutant("M24", "degeneracy tolerance 1e-14 -> 1e-10", "linalg.py",
            "_DEGENERATE_REL_TOL = 1e-14", "_DEGENERATE_REL_TOL = 1e-10", ("test_linalg.py",),
            "a tolerance: no documented case sits between the two"),
+    Mutant("M25", "ClusterStats.from_rows does not name a value that is not finite", "linalg.py",
+           "            if not np.isfinite(row if isinstance(row, np.ndarray) else row.data).all():\n"
+           "                raise ValueError(f\"document at row {members[at]}: holds a value that is "
+           "not finite\")\n", "", ("test_linalg.py",)),
 )
 
 

@@ -444,6 +444,19 @@ def test_word_conditionals_names_a_count_sum_beyond_float64(row, total):
                               "too small or too large to normalise in float64")
 
 
+@pytest.mark.parametrize("row", [[-1.0, 5.0], [-3.0, 2.0], [math.nan, 1.0], [-math.inf, 1.0]])
+def test_word_conditionals_refuses_a_count_that_is_negative_or_not_a_number(row):
+    """Before the sum: a row [-1, 5] would give p(y|x) = [-0.25, 1.25], and a
+    row summing to -1 would be reported as empty."""
+    from textpart.corpus import TermDocMatrix
+
+    tdm = TermDocMatrix(sp.csr_array(np.array([[1.0, 2.0], row, [-1.0, 1.0]])), ("a", "b"),
+                        ("d0", "d1", "d2"))
+    with pytest.raises(ValueError) as err:
+        word_conditionals(tdm)
+    assert str(err.value) == "document 'd1' holds a count that is negative or not a number"
+
+
 def test_joint_invariants_on_random_corpus():
     rng = np.random.default_rng(3)
     docs = [

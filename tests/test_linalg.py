@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -379,3 +380,37 @@ def test_principal_direction_raises_when_restart_budget_is_spent(monkeypatch):
         principal_direction(X, seed=0, stats=_stats(X))
     with pytest.raises(ConvergenceError):  # not taken for a degenerate cluster
         pddp_run(X, stop="fixed", k=2, seed=0)
+
+
+@pytest.mark.parametrize("value", [1e78, 1.2e154])
+def test_principal_direction_of_bare_rows_refuses_rows_beyond_the_magnitude_bound(value):
+    """The rows of the CLI's bound test, given straight to the eigen-solve
+    through their stats: the CLI's message, naming the row, and no numpy
+    warning on the way."""
+    rows = sp.csr_array(np.array([[value, 0.0, 0.0], [value, 0.0, 0.0],
+                                  [1.0, 0.0, 1.0], [0.0, 2.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^document at row 0: its squared norm \S+ is above "
+                                             r"3\.35e\+153, the largest PDDP can split without overflow$"):
+            principal_direction(rows, seed=0, stats=ClusterStats.from_rows(rows, np.arange(4)))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("value, cause", [(np.nan, "holds a value that is not finite"),
+                                          (np.inf, "holds a value that is not finite"),
+                                          (-np.inf, "holds a value that is not finite"),
+                                          (1e200, "its squared norm overflows float64")])
+def test_cluster_stats_name_the_row_and_its_fault(value, cause, sparse):
+    """A 6 x 3 array with one bad value at row 2: the stats that the
+    eigen-solve requires refuse it, with no numpy warning; a subset names
+    the row by its index in the matrix, not in the subset."""
+    X = np.random.default_rng(5).random((6, 3))
+    X[2, 1] = value
+    rows = sp.csr_array(X) if sparse else X
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^document at row 2: {cause}$"):
+            principal_direction(rows, seed=0, stats=ClusterStats.from_rows(rows, np.arange(6)))
+        with pytest.raises(ValueError, match=f"^document at row 2: {cause}$"):
+            ClusterStats.from_rows(rows, np.array([4, 2, 0]))
